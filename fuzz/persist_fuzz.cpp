@@ -4,7 +4,9 @@
 // Modes (first input byte):
 //   0: arbitrary bytes through parse_wal; the replay must account for every
 //      byte (clean + dropped == size) and re-encoding the recovered records
-//      must reproduce the committed prefix byte-identically;
+//      must reproduce the committed prefix byte-identically. The same bytes
+//      also check the crc32c() implementation selected for this CPU against
+//      the table reference, whole and chained across a split;
 //   1: structured WAL — build records from the input, then truncate or
 //      byte-flip the image; recovery must yield an exact prefix of the
 //      originals, never a record that was not written;
@@ -21,6 +23,7 @@
 
 #include "fuzz_input.hpp"
 #include "store/persist/crc32c.hpp"
+#include "store/persist/crc32c_internal.hpp"
 #include "store/persist/formats.hpp"
 #include "util/time.hpp"
 
@@ -67,6 +70,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         persist::append_wal_record(reencoded, r);
       }
       FUZZ_ASSERT(reencoded == bytes.substr(0, replay.clean_bytes));
+      // Differential CRC check. The split point comes from the reference
+      // CRC, so no input byte is spent on it and the corpus keeps its
+      // meaning.
+      const std::string_view view{bytes};
+      const std::uint32_t reference = persist::detail::crc32c_table(view);
+      FUZZ_ASSERT(persist::crc32c(view) == reference);
+      const std::size_t split = reference % (view.size() + 1);
+      FUZZ_ASSERT(persist::crc32c(view.substr(split),
+                                  persist::crc32c(view.substr(0, split))) ==
+                  reference);
       break;
     }
     case 1: {

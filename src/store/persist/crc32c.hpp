@@ -4,9 +4,15 @@
 // CRC32C so recovery can tell a torn or bit-flipped tail from committed data.
 // Castagnoli rather than the zlib polynomial because its error-detection
 // properties for short records are better studied (it is what LevelDB/RocksDB
-// and iSCSI use), and a software table implementation keeps the build free of
-// SSE4.2 feature detection while still running at a few GB/s — far above the
-// append rates the store sees.
+// and iSCSI use), and because x86-64 CPUs with SSE4.2 compute it in hardware.
+//
+// The checksum is on the persist hot path: each ~2.9 MB paper-job capture is
+// checksummed when its WAL frame is written, when the index records its
+// CRC, and when a checkpoint seals it into a segment. A bytewise table loop
+// ran at 250–285 MB/s, about a third of a paper job, so crc32c() uses the
+// SSE4.2 `crc32` instruction (8 bytes per step, ~20x faster on a 2.9 MB
+// capture) when a one-time run-time check finds it, and the table loop on
+// every other CPU. Both give bit-identical results (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>

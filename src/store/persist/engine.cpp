@@ -20,6 +20,13 @@ util::Error io_error(const std::string& what) {
   return util::make_error(util::ErrorCode::kUnavailable, what);
 }
 
+/// A capture's bytes no longer match the CRC its index entry recorded.
+/// `segment` is the entry's file; empty means the shard WAL.
+util::Error checksum_mismatch(const CaptureId& id, const std::string& segment) {
+  return io_error("checksum mismatch reading " + id.str() + " from " +
+                  (segment.empty() ? std::string{"wal.log"} : segment));
+}
+
 util::Result<std::string> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return io_error("cannot open " + path);
@@ -409,6 +416,7 @@ util::Status PersistEngine::recover_shard(
         entry.shard = shard_index;
         entry.offset = record.capture_offset;
         entry.length = record.capture.size();
+        entry.crc = crc32c(record.capture);
         index_.emplace(std::move(record.id), std::move(entry));
         break;
       }
@@ -496,6 +504,7 @@ util::Status PersistEngine::append(const CaptureId& id,
   // The capture bytes are the frame's final field.
   entry.offset = shard.wal_size - record.capture.size();
   entry.length = record.capture.size();
+  entry.crc = crc32c(record.capture);
   index_[id] = std::move(entry);
   next_seq_ = std::max(next_seq_, id.seq + 1);
   sync_gauges();
@@ -583,6 +592,11 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
     if (entry.shard != shard_index || !entry.segment.empty()) continue;
     auto bytes = read_file_slice(wal_path(shard), entry.offset, entry.length);
     if (!bytes.ok()) return bytes.error();
+    // Demotion re-encodes the capture, so a raw-dropped record is checked
+    // here; raw records are checked against the CRCs build_segment seals.
+    if (entry.raw_dropped && crc32c(bytes.value()) != entry.crc) {
+      return checksum_mismatch(id, entry.segment);
+    }
     if (auto st = add_record(id, entry, std::move(bytes).take()); !st.ok()) {
       return st;
     }
@@ -638,9 +652,16 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
                              (tier == kTierRaw ? "r" : "s") + "-" +
                              std::to_string(shard.next_segment++) + ".blsg";
     const std::string image = build_segment(tier, records);
-    // Write-time self check: what we just built must parse back.
+    // Write-time self check: what we just built must parse back, and raw
+    // records must seal under the CRC their index entry recorded.
     auto parsed = parse_segment_index(image);
     if (!parsed.ok()) return parsed.error();
+    if (tier == kTierRaw) {
+      for (const SegmentEntry& e : parsed.value().entries) {
+        const Entry& source = index_.at(e.id);
+        if (e.crc != source.crc) return checksum_mismatch(e.id, source.segment);
+      }
+    }
     if (auto st = write_file_atomic(shard_path(shard) + "/" + file, image);
         !st.ok()) {
       return st;
@@ -850,24 +871,16 @@ util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
   }
   const Entry& entry = it->second;
   Shard& shard = shards_[entry.shard];
-  std::string bytes;
-  if (entry.segment.empty()) {
-    if (shard.wal != nullptr) std::fflush(shard.wal);
-    auto slice = read_file_slice(wal_path(shard), entry.offset, entry.length);
-    if (!slice.ok()) return slice.error();
-    bytes = std::move(slice).take();
-  } else {
-    auto slice = read_file_slice(shard_path(shard) + "/" + entry.segment,
-                                 entry.offset, entry.length);
-    if (!slice.ok()) return slice.error();
-    bytes = std::move(slice).take();
-    if (crc32c(bytes) != entry.crc) {
-      return util::make_error(util::ErrorCode::kUnavailable,
-                              "checksum mismatch loading " + id.str() +
-                                  " from " + entry.segment);
-    }
+  if (entry.segment.empty() && shard.wal != nullptr) std::fflush(shard.wal);
+  auto bytes = read_file_slice(entry.segment.empty()
+                                   ? wal_path(shard)
+                                   : shard_path(shard) + "/" + entry.segment,
+                               entry.offset, entry.length);
+  if (!bytes.ok()) return bytes.error();
+  if (crc32c(bytes.value()) != entry.crc) {
+    return checksum_mismatch(id, entry.segment);
   }
-  auto cc = ChunkedCapture::deserialize(bytes);
+  auto cc = ChunkedCapture::deserialize(bytes.value());
   if (!cc.ok()) return cc.error();
   if (entry.raw_dropped && cc.value().raw_available()) {
     cc.value().drop_raw();

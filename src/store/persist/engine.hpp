@@ -186,7 +186,7 @@ class PersistEngine {
     std::string segment;  ///< empty = lives in the shard WAL
     std::uint64_t offset = 0;
     std::uint64_t length = 0;
-    std::uint32_t crc = 0;  ///< segment entries only
+    std::uint32_t crc = 0;  ///< crc32c of the capture bytes, WAL or segment
   };
   struct Metrics {
     obs::Counter* wal_appends = nullptr;

@@ -66,18 +66,23 @@ bool parse_wal_payload(std::string_view payload, WalRecord& record) {
 }  // namespace
 
 void append_wal_record(std::string& out, const WalRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.op));
-  put_string(payload, record.id.workspace);
-  put_u64(payload, record.id.seq);
+  // The payload goes straight into `out` behind a placeholder [len][crc]
+  // header that is filled in last, so the capture is copied only once.
+  const std::size_t frame = out.size();
+  out.append(8, '\0');
+  out.push_back(static_cast<char>(record.op));
+  put_string(out, record.id.workspace);
+  put_u64(out, record.id.seq);
   if (record.op == WalOp::kAppend) {
-    put_string(payload, record.name);
-    put_u64(payload, static_cast<std::uint64_t>(record.stored_at.us()));
-    payload.append(record.capture);
+    put_string(out, record.name);
+    put_u64(out, static_cast<std::uint64_t>(record.stored_at.us()));
+    out.append(record.capture);
   }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload));
-  out.append(payload);
+  const std::string_view payload = std::string_view{out}.substr(frame + 8);
+  std::string header;
+  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(header, crc32c(payload));
+  out.replace(frame, header.size(), header);
 }
 
 WalReplay parse_wal(std::string_view bytes) {

@@ -228,6 +228,11 @@ struct RejectCase {
   const char* message_prefix; ///< start of the expected error message
 };
 
+// gtest prints an unknown parameter type as its raw bytes, which here are
+// string-literal addresses that move with every build and, under ASLR, every
+// run; the test names would change with them. Print the label instead.
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.label; }
+
 class TraceIoRejects : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(TraceIoRejects, TypedErrorWithStableMessage) {

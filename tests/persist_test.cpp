@@ -9,8 +9,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +24,7 @@
 #include "store/capture_store.hpp"
 #include "store/chunked_capture.hpp"
 #include "store/persist/crc32c.hpp"
+#include "store/persist/crc32c_internal.hpp"
 #include "store/persist/engine.hpp"
 #include "store/persist/formats.hpp"
 #include "util/rng.hpp"
@@ -94,24 +100,115 @@ std::vector<persist::WalRecord> make_wal_fixture() {
 }
 
 // ------------------------------------------------------------------------
-// CRC32C.
+// CRC32C: the vectors and the chaining property run on the implementation
+// crc32c() selected for this CPU and on the table reference; differential
+// sweeps pin the two to each other.
 // ------------------------------------------------------------------------
 
+struct CrcPath {
+  const char* name;
+  persist::detail::Crc32cFn fn;
+};
+const CrcPath kCrcPaths[] = {{"selected", &persist::crc32c},
+                             {"table", &persist::detail::crc32c_table}};
+
+std::string random_bytes(blab::util::Rng& rng, std::size_t n) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.next_u64());
+  return bytes;
+}
+
 TEST(Crc32c, MatchesKnownVectors) {
-  // RFC 3720 appendix B test vector.
-  EXPECT_EQ(persist::crc32c("123456789"), 0xE3069283u);
-  EXPECT_EQ(persist::crc32c(""), 0u);
-  const std::string zeros(32, '\0');
-  EXPECT_EQ(persist::crc32c(zeros), 0x8A9136AAu);
+  // RFC 3720 appendix B.4 vectors, plus the customary "123456789" check.
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const unsigned char read_pdu[48] = {
+      0x01, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  const std::string_view pdu{reinterpret_cast<const char*>(read_pdu),
+                             sizeof read_pdu};
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.fn("123456789", 0), 0xE3069283u);
+    EXPECT_EQ(path.fn("", 0), 0u);
+    EXPECT_EQ(path.fn(std::string(32, '\0'), 0), 0x8A9136AAu);
+    EXPECT_EQ(path.fn(std::string(32, '\xFF'), 0), 0x62A8AB43u);
+    EXPECT_EQ(path.fn(ascending, 0), 0x46DD794Eu);
+    EXPECT_EQ(path.fn(descending, 0), 0x113FDB5Cu);
+    EXPECT_EQ(path.fn(pdu, 0), 0xD9963A56u);
+  }
 }
 
 TEST(Crc32c, ChainsIncrementally) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
-  const auto whole = persist::crc32c(data);
-  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
-    const auto first = persist::crc32c(data.substr(0, cut));
-    EXPECT_EQ(persist::crc32c(data.substr(cut), first), whole) << cut;
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    const auto whole = path.fn(data, 0);
+    for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+      const auto first = path.fn(data.substr(0, cut), 0);
+      EXPECT_EQ(path.fn(data.substr(cut), first), whole) << cut;
+    }
   }
+}
+
+TEST(Crc32c, SelectedMatchesTableAtEveryLengthAndOffset) {
+  blab::util::Rng rng{71};
+  const std::string buffer = random_bytes(rng, 1024 + 15);
+  const std::string_view view{buffer};
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view piece = view.substr(offset, len);
+      // A nonzero incoming crc covers the chaining XORs at every shape.
+      const auto seed = static_cast<std::uint32_t>(len * 0x9E3779B9u);
+      ASSERT_EQ(persist::crc32c(piece, seed),
+                persist::detail::crc32c_table(piece, seed))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, SelectedMatchesTableOnChainedSplitsOfACaptureSizedBuffer) {
+  blab::util::Rng rng{72};
+  const std::string buffer = random_bytes(rng, 3u << 20);
+  const std::string_view view{buffer};
+  const std::uint32_t whole = persist::detail::crc32c_table(view);
+  EXPECT_EQ(persist::crc32c(view), whole);
+  // Random splits, alternating short pieces (head/tail loops, every
+  // alignment) with long ones (the 8-byte main loop).
+  for (int round = 0; round < 8; ++round) {
+    const std::int64_t max_piece = round % 2 == 0 ? 64 : 1 << 20;
+    std::uint32_t chained = 0;
+    for (std::size_t at = 0; at < view.size();) {
+      const auto len = std::min<std::size_t>(
+          static_cast<std::size_t>(rng.uniform_int(0, max_piece)),
+          view.size() - at);
+      chained = persist::crc32c(view.substr(at, len), chained);
+      at += len;
+    }
+    EXPECT_EQ(chained, whole) << "round " << round;
+  }
+}
+
+TEST(Crc32c, Sse42CpuSelectsTheInstructionPath) {
+  // CPUID read independently of the implementation's own check.
+#if defined(__x86_64__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  const bool sse42 =
+      __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & bit_SSE4_2) != 0;
+#else
+  const bool sse42 = false;
+#endif
+  const persist::detail::Crc32cFn table = &persist::detail::crc32c_table;
+  EXPECT_EQ(persist::detail::crc32c_selected() != table, sse42);
 }
 
 // ------------------------------------------------------------------------
@@ -553,6 +650,67 @@ TEST(PersistEngine, CorruptSegmentTrailerDropsOnlyThatSegment) {
   EXPECT_EQ(engine.size(), 1u);  // the other shard's record is untouched
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, CorruptWalCaptureFailsLoadAndCheckpoint) {
+  // A capture still in the WAL is checked on both read-backs, load() and
+  // the checkpoint that would seal it into a segment, against the CRC its
+  // index entry recorded at append or at WAL replay. Raw-dropped captures
+  // take the checkpoint's demotion path, so both kinds are covered. The
+  // failed checkpoint writes no segment or manifest and keeps the WAL.
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(35, 400));
+  const std::size_t capture_size = cc.serialize().size();
+  const CaptureId id{"vp-a", 1};
+  for (const bool replayed : {false, true}) {
+    for (const bool raw_dropped : {false, true}) {
+      SCOPED_TRACE(std::string{replayed ? "replayed" : "appended"} +
+                   (raw_dropped ? ", raw dropped" : ", raw kept"));
+      const std::string dir = scratch_dir("walcrc");
+      auto engine = std::make_unique<persist::PersistEngine>(dir);
+      ASSERT_TRUE(engine->open().ok());
+      ASSERT_TRUE(
+          engine->append(id, "DEV", TimePoint::from_micros(100), cc).ok());
+      char name[32];
+      std::snprintf(name, sizeof name, "shard-%03zu",
+                    engine->shard_of(id.workspace));
+      const fs::path wal = fs::path{dir} / name / "wal.log";
+      // The capture bytes end the shard's first and only append frame.
+      const auto flip_at =
+          static_cast<std::streamoff>(fs::file_size(wal) - capture_size / 2);
+      if (raw_dropped) {
+        ASSERT_TRUE(engine->note_drop_raw(id).ok());
+      }
+      if (replayed) {
+        engine = std::make_unique<persist::PersistEngine>(dir);
+        ASSERT_TRUE(engine->open().ok());
+      }
+      ASSERT_TRUE(engine->load(id).ok());
+      {
+        std::fstream f{wal, std::ios::binary | std::ios::in | std::ios::out};
+        f.seekg(flip_at);
+        const int byte = f.get();
+        f.seekp(flip_at);
+        f.put(static_cast<char>(byte ^ 0x40));
+      }
+      const auto wal_size = fs::file_size(wal);
+
+      const auto loaded = engine->load(id);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
+      const auto st = engine->checkpoint();
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.error().code, blab::util::ErrorCode::kUnavailable);
+      EXPECT_EQ(fs::file_size(wal), wal_size);
+      for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+        const std::string file = entry.path().filename().string();
+        EXPECT_NE(file.rfind("manifest-", 0), 0u) << file;
+        EXPECT_NE(entry.path().extension(), ".blsg") << file;
+      }
+      engine.reset();
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  }
 }
 
 TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
