@@ -51,7 +51,8 @@ struct MirrorTimings {
 inline constexpr int kFrameSinkPort = 27200;
 
 /// Sampling rate for per-frame spans: keep 1 in this many frame arrivals
-/// per trace (weights keep the aggregates exact, see Tracer::set_sampling).
+/// per fast trace (weights keep the aggregates exact, see
+/// Tracer::set_tail_sampling).
 inline constexpr std::uint64_t kFrameSampling = 4;
 /// Tail-sampling threshold for frame spans: a trace whose root runs at
 /// least this long (sim time) keeps every frame span at full fidelity (see

@@ -88,8 +88,8 @@ std::int64_t child_coverage(const SpanRecord* s,
 void fold_span(FlameNode& parent, const SpanRecord* s, const TraceView& view) {
   FlameNode& node = slot(parent, s->component, s->name);
   // Weight scales a kept span up to the family count it stands for; sampled
-  // families are leaves (set_sampling contract), so scaling total without
-  // scaling child coverage never goes negative.
+  // families are leaves (set_tail_sampling contract), so scaling total
+  // without scaling child coverage never goes negative.
   const std::uint64_t w = s->weight;
   node.count += w;
   const std::int64_t weighted =

@@ -8,7 +8,7 @@
 //    time (duration not covered by child spans) of all spans that reached it
 //    via the same ancestry. Sampled families fold in exactly — a kept span's
 //    weight is the number of spans it stands for, so flame counts equal the
-//    unsampled counters (see Tracer::set_sampling).
+//    unsampled counters (see Tracer::set_tail_sampling).
 //
 //  * critical_paths decomposes each job trace's root interval into named
 //    segments (queue-wait, dispatch, network, capture, store, mirror, other)

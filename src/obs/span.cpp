@@ -1,5 +1,6 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 
@@ -48,56 +49,20 @@ std::size_t Tracer::policy_index(std::string_view component,
       return i;
     }
   }
-  return static_cast<std::size_t>(-1);
-}
-
-void Tracer::set_sampling(std::string_view component, std::string_view name,
-                          std::uint64_t keep_one_in) {
-  const std::size_t idx = policy_index(component, name);
-  if (keep_one_in <= 1) {
-    if (idx != static_cast<std::size_t>(-1)) {
-      // Policy indices shift on erase, so undecided tail buffers (keyed by
-      // index) must drain first. Flushing at full fidelity loses no weight;
-      // this is a config-time operation, not a hot path.
-      while (!tail_pending_.empty()) {
-        const auto key = tail_pending_.begin()->first;
-        flush_tail_pending(key.first, key.second, /*keep_all=*/true);
-      }
-      tail_decisions_.clear();
-      policies_.erase(policies_.begin() + static_cast<std::ptrdiff_t>(idx));
-      // Family state keys are policy indices; rebuilding them after an
-      // erase is not worth it for a config-time operation — drop them all.
-      family_state_.clear();
-    }
-    return;
-  }
-  if (idx != static_cast<std::size_t>(-1)) {
-    // Switching a tail family back to head mode strands its undecided
-    // buffer; flush it at full fidelity before changing the policy.
-    std::vector<std::uint64_t> traces;
-    for (const auto& [key, pending] : tail_pending_) {
-      if (key.first == idx && !pending.empty()) traces.push_back(key.second);
-    }
-    for (const std::uint64_t trace : traces) {
-      flush_tail_pending(idx, trace, /*keep_all=*/true);
-    }
-    policies_[idx].keep_one_in = keep_one_in;
-    policies_[idx].tail_threshold_us = 0;
-    return;
-  }
-  policies_.push_back(
-      SamplingPolicy{std::string{component}, std::string{name}, keep_one_in});
+  return kNoPolicy;
 }
 
 void Tracer::set_tail_sampling(std::string_view component,
                                std::string_view name,
                                std::uint64_t keep_one_in,
                                std::int64_t tail_threshold_us) {
-  set_sampling(component, name, keep_one_in);
-  const std::size_t idx = policy_index(component, name);
-  if (idx != static_cast<std::size_t>(-1) && tail_threshold_us > 0) {
-    policies_[idx].tail_threshold_us = tail_threshold_us;
+  std::size_t fam = policy_index(component, name);
+  if (fam == kNoPolicy) {
+    fam = policies_.size();
+    policies_.push_back({std::string{component}, std::string{name}});
   }
+  policies_[fam].keep_one_in = std::max<std::uint64_t>(keep_one_in, 1);
+  policies_[fam].tail_threshold_us = tail_threshold_us;
 }
 
 SpanRecord Tracer::make_record(std::string_view component,
@@ -109,37 +74,25 @@ SpanRecord Tracer::make_record(std::string_view component,
     rec.trace = ctx.trace;
     rec.parent = ctx.span;
   } else if (inherit_stack && !open_.empty()) {
-    rec.trace = open_.back().record.trace;
-    rec.parent = open_.back().record.id;
+    rec.trace = open_.back().trace;
+    rec.parent = open_.back().id;
   } else {
     rec.trace = next_trace_++;
     rec.parent = 0;
+    live_traces_.try_emplace(live_traces_.end(), rec.trace);
   }
   rec.component = std::string{component};
   rec.name = std::string{name};
   rec.start_us = clock_();
-  // Head-based sampling decision, made at begin time so the policy is
-  // independent of how long the span stays open: the first span of each
-  // (family, trace) is always kept, then 1 in keep_one_in. Tail-mode
-  // families defer the decision to finish_record (the head counter then
-  // only advances for spans that actually fall back to head sampling).
-  const std::size_t fam = policy_index(component, name);
-  if (fam != static_cast<std::size_t>(-1) &&
-      policies_[fam].tail_threshold_us <= 0) {
-    FamilyState& st = family_state_[{fam, rec.trace}];
-    if (st.count % policies_[fam].keep_one_in != 0) rec.weight = 0;
-    ++st.count;
-  }
   return rec;
 }
 
 std::uint64_t Tracer::begin(std::string_view component, std::string_view name,
                             TraceContext ctx) {
-  Open o;
-  o.record = make_record(component, name, ctx, /*inherit_stack=*/true);
-  o.record.depth = static_cast<std::uint32_t>(open_.size());
-  open_.push_back(std::move(o));
-  return open_.back().record.id;
+  const auto depth = static_cast<std::uint32_t>(open_.size());
+  open_.push_back(make_record(component, name, ctx, /*inherit_stack=*/true));
+  open_.back().depth = depth;
+  return open_.back().id;
 }
 
 std::uint64_t Tracer::begin_detached(std::string_view component,
@@ -152,60 +105,34 @@ std::uint64_t Tracer::begin_detached(std::string_view component,
 
 void Tracer::finish_record(SpanRecord&& record, std::int64_t now) {
   record.end_us = now;
-  // A trace root ending is the tail-sampling decision point: resolve the
-  // trace's pending buffers BEFORE committing the root, so kept children
-  // precede their root in finish order.
-  if (record.parent == 0) {
-    resolve_tail(record.trace, record.end_us - record.start_us);
-  }
+  // Settle before committing the root, so kept children precede it in
+  // finish order.
+  if (record.parent == 0) settle_trace(record.trace, record.duration_us());
   const std::size_t fam = policy_index(record.component, record.name);
-  if (record.weight == 0) {
-    // Sampled out at begin time: never buffered. Its unit of weight moves
-    // to the last kept span of the same family and trace, keeping
-    // sum-of-weights exactly equal to the true span count.
-    ++sampled_out_;
-    const auto st = fam == static_cast<std::size_t>(-1)
-                        ? family_state_.end()
-                        : family_state_.find({fam, record.trace});
-    if (st != family_state_.end() && st->second.has_kept) {
-      finished_[st->second.last_kept].weight += 1;
-    } else {
-      ++weight_uncredited_;
-    }
+  const auto live = fam == kNoPolicy ? live_traces_.end()
+                                     : live_traces_.find(record.trace);
+  if (live == live_traces_.end()) {
+    // Unsampled family, or a family span finishing after its root ended.
+    commit_record(std::move(record));
     return;
   }
-  if (fam != static_cast<std::size_t>(-1) &&
-      policies_[fam].tail_threshold_us > 0) {
-    const auto dec = tail_decisions_.find(record.trace);
-    if (dec == tail_decisions_.end()) {
-      // Root still open: buffer, undecided. A runaway trace flushes its
-      // prefix through head sampling rather than growing without bound.
-      const std::pair<std::size_t, std::uint64_t> key{fam, record.trace};
-      const auto pending = tail_pending_.find(key);
-      if (pending != tail_pending_.end() &&
-          pending->second.size() >= kMaxTailPendingPerTrace) {
-        ++tail_overflows_;
-        flush_tail_pending(fam, record.trace, /*keep_all=*/false);
-      }
-      tail_pending_[key].push_back(std::move(record));
-      ++tail_pending_total_;
-      return;
-    }
-    // Straggler: finished after the root's decision — apply it directly.
-    if (dec->second.root_duration_us >= policies_[fam].tail_threshold_us) {
-      commit_record(std::move(record), fam);
-    } else {
-      head_decide(std::move(record), fam);
-    }
-    return;
+  std::vector<FamilySample>& families = live->second;
+  if (families.size() <= fam) families.resize(fam + 1);
+  FamilySample& family = families[fam];
+  if (family.pending.size() >= kMaxTailPendingPerTrace) {
+    // A runaway trace head-samples its prefix rather than growing without
+    // bound.
+    ++tail_overflows_;
+    flush(family, fam, /*keep_all=*/false);
   }
-  commit_record(std::move(record), fam);
+  family.pending.push_back(std::move(record));
+  ++tail_pending_total_;
 }
 
-void Tracer::commit_record(SpanRecord&& record, std::size_t fam) {
+bool Tracer::commit_record(SpanRecord&& record) {
   if (finished_.size() >= max_spans_) {
     ++dropped_;
-    return;
+    return false;
   }
   auto it = trace_index_.find(record.trace);
   if (it == trace_index_.end() && trace_index_.size() < kMaxIndexedTraces) {
@@ -217,83 +144,58 @@ void Tracer::commit_record(SpanRecord&& record, std::size_t fam) {
   } else {
     ++index_dropped_;
   }
-  if (fam != static_cast<std::size_t>(-1)) {
-    FamilyState& st = family_state_[{fam, record.trace}];
-    st.last_kept = static_cast<std::uint32_t>(finished_.size());
-    st.has_kept = true;
-  }
   finished_.push_back(std::move(record));
+  return true;
 }
 
-void Tracer::drop_record(const SpanRecord& record, std::size_t fam) {
-  ++sampled_out_;
-  const auto st = fam == static_cast<std::size_t>(-1)
-                      ? family_state_.end()
-                      : family_state_.find({fam, record.trace});
-  if (st != family_state_.end() && st->second.has_kept) {
-    finished_[st->second.last_kept].weight += record.weight;
-  } else {
-    weight_uncredited_ += record.weight;
-  }
-}
-
-void Tracer::head_decide(SpanRecord&& record, std::size_t fam) {
-  FamilyState& st = family_state_[{fam, record.trace}];
-  const bool keep = st.count % policies_[fam].keep_one_in == 0;
-  ++st.count;
-  if (keep) {
-    commit_record(std::move(record), fam);
-  } else {
-    drop_record(record, fam);
-  }
-}
-
-void Tracer::resolve_tail(std::uint64_t trace, std::int64_t root_duration_us) {
-  bool any_tail = false;
-  for (const SamplingPolicy& p : policies_) {
-    if (p.tail_threshold_us > 0) {
-      any_tail = true;
-      break;
-    }
-  }
-  if (!any_tail) return;
-  tail_decisions_[trace] = TailDecision{root_duration_us};
+void Tracer::settle_trace(std::uint64_t trace, std::int64_t root_duration_us) {
+  const auto live = live_traces_.find(trace);
+  if (live == live_traces_.end()) return;
+  std::vector<FamilySample> families = std::move(live->second);
+  live_traces_.erase(live);
   bool slow = false;
-  for (std::size_t fam = 0; fam < policies_.size(); ++fam) {
-    if (policies_[fam].tail_threshold_us <= 0) continue;
-    const auto it = tail_pending_.find({fam, trace});
-    if (it == tail_pending_.end() || it->second.empty()) continue;
-    const bool keep_all =
-        root_duration_us >= policies_[fam].tail_threshold_us;
+  for (std::size_t fam = 0; fam < families.size(); ++fam) {
+    if (families[fam].pending.empty()) continue;
+    const std::int64_t threshold = policies_[fam].tail_threshold_us;
+    const bool keep_all = threshold > 0 && root_duration_us >= threshold;
     slow = slow || keep_all;
-    flush_tail_pending(fam, trace, keep_all);
+    flush(families[fam], fam, keep_all);
   }
   if (slow) ++tail_slow_traces_;
 }
 
-void Tracer::flush_tail_pending(std::size_t fam, std::uint64_t trace,
-                                bool keep_all) {
-  const auto it = tail_pending_.find({fam, trace});
-  if (it == tail_pending_.end()) return;
-  std::vector<SpanRecord> pending = std::move(it->second);
-  tail_pending_.erase(it);
-  tail_pending_total_ -= pending.size();
-  for (SpanRecord& rec : pending) {
-    if (keep_all) {
-      commit_record(std::move(rec), fam);
+void Tracer::flush(FamilySample& family, std::size_t fam, bool keep_all) {
+  const std::uint64_t keep_one_in = policies_[fam].keep_one_in;
+  tail_pending_total_ -= family.pending.size();
+  for (SpanRecord& rec : family.pending) {
+    // The head counter advances only on head decisions: the first span of
+    // each (family, trace) is kept, then 1 in keep_one_in.
+    if (keep_all || family.count++ % keep_one_in == 0) {
+      const auto at = static_cast<std::uint32_t>(finished_.size());
+      if (commit_record(std::move(rec))) {
+        family.last_kept = at;
+        family.has_kept = true;
+      }
+      continue;
+    }
+    // Dropped: its unit of weight moves to the last kept span of the same
+    // family and trace, keeping sum-of-weights equal to the span count.
+    ++sampled_out_;
+    if (family.has_kept) {
+      finished_[family.last_kept].weight += 1;
     } else {
-      head_decide(std::move(rec), fam);
+      ++weight_uncredited_;
     }
   }
+  family.pending.clear();
 }
 
 std::uint64_t Tracer::tail_pending(std::string_view component,
                                    std::string_view name) const {
   const std::size_t fam = policy_index(component, name);
-  if (fam == static_cast<std::size_t>(-1)) return 0;
   std::uint64_t n = 0;
-  for (const auto& [key, pending] : tail_pending_) {
-    if (key.first == fam) n += pending.size();
+  for (const auto& [trace, families] : live_traces_) {
+    if (fam < families.size()) n += families[fam].pending.size();
   }
   return n;
 }
@@ -310,7 +212,7 @@ void Tracer::end(std::uint64_t id) {
   }
   std::size_t pos = open_.size();
   for (std::size_t i = open_.size(); i-- > 0;) {
-    if (open_[i].record.id == id) {
+    if (open_[i].id == id) {
       pos = i;
       break;
     }
@@ -333,67 +235,53 @@ void Tracer::end(std::uint64_t id) {
     }
   }
   while (open_.size() > pos) {
-    Open o = std::move(open_.back());
+    SpanRecord rec = std::move(open_.back());
     open_.pop_back();
-    finish_record(std::move(o.record), now);
+    finish_record(std::move(rec), now);
   }
 }
 
 TraceContext Tracer::current() const {
   if (open_.empty()) return {};
-  return TraceContext{open_.back().record.trace, open_.back().record.id};
+  return TraceContext{open_.back().trace, open_.back().id};
 }
 
 TraceContext Tracer::context_of(std::uint64_t id) const {
-  for (std::size_t i = open_.size(); i-- > 0;) {
-    if (open_[i].record.id == id) {
-      return TraceContext{open_[i].record.trace, id};
-    }
-  }
-  auto det = detached_.find(id);
-  if (det != detached_.end()) return TraceContext{det->second.trace, id};
-  return {};
+  const SpanRecord* rec = find_open(id);
+  return rec == nullptr ? TraceContext{} : TraceContext{rec->trace, id};
 }
 
-SpanRecord* Tracer::find_open(std::uint64_t id) {
+const SpanRecord* Tracer::find_open(std::uint64_t id) const {
   for (std::size_t i = open_.size(); i-- > 0;) {
-    if (open_[i].record.id == id) return &open_[i].record;
+    if (open_[i].id == id) return &open_[i];
   }
   auto det = detached_.find(id);
   if (det != detached_.end()) return &det->second;
   return nullptr;
 }
 
+SpanAttr* Tracer::add_attr(std::uint64_t id, std::string_view key,
+                           SpanAttr::Kind kind) {
+  SpanRecord* rec = find_open(id);
+  if (rec == nullptr || rec->attrs.size() >= kMaxAttrsPerSpan) return nullptr;
+  SpanAttr& a = rec->attrs.emplace_back();
+  a.key = key;
+  a.kind = kind;
+  return &a;
+}
+
 void Tracer::set_attr(std::uint64_t id, std::string_view key,
                       std::int64_t value) {
-  SpanRecord* rec = find_open(id);
-  if (rec == nullptr || rec->attrs.size() >= kMaxAttrsPerSpan) return;
-  SpanAttr a;
-  a.key = std::string{key};
-  a.kind = SpanAttr::Kind::kInt;
-  a.i = value;
-  rec->attrs.push_back(std::move(a));
+  if (SpanAttr* a = add_attr(id, key, SpanAttr::Kind::kInt)) a->i = value;
 }
 
 void Tracer::set_attr(std::uint64_t id, std::string_view key, double value) {
-  SpanRecord* rec = find_open(id);
-  if (rec == nullptr || rec->attrs.size() >= kMaxAttrsPerSpan) return;
-  SpanAttr a;
-  a.key = std::string{key};
-  a.kind = SpanAttr::Kind::kDouble;
-  a.d = value;
-  rec->attrs.push_back(std::move(a));
+  if (SpanAttr* a = add_attr(id, key, SpanAttr::Kind::kDouble)) a->d = value;
 }
 
 void Tracer::set_attr(std::uint64_t id, std::string_view key,
                       std::string_view value) {
-  SpanRecord* rec = find_open(id);
-  if (rec == nullptr || rec->attrs.size() >= kMaxAttrsPerSpan) return;
-  SpanAttr a;
-  a.key = std::string{key};
-  a.kind = SpanAttr::Kind::kString;
-  a.s = std::string{value};
-  rec->attrs.push_back(std::move(a));
+  if (SpanAttr* a = add_attr(id, key, SpanAttr::Kind::kString)) a->s = value;
 }
 
 void Tracer::add_link(std::uint64_t id, SpanLink link) {
@@ -423,8 +311,8 @@ std::vector<const SpanRecord*> Tracer::spans_in(std::uint64_t trace) const {
 
 std::size_t Tracer::open_in_trace(std::uint64_t trace) const {
   std::size_t n = 0;
-  for (const Open& o : open_) {
-    if (o.record.trace == trace) ++n;
+  for (const SpanRecord& rec : open_) {
+    if (rec.trace == trace) ++n;
   }
   for (const auto& [id, rec] : detached_) {
     if (rec.trace == trace) ++n;
@@ -448,9 +336,7 @@ void Tracer::clear() {
   detached_.clear();
   finished_.clear();
   trace_index_.clear();
-  family_state_.clear();  // policies survive: they are configuration
-  tail_pending_.clear();
-  tail_decisions_.clear();
+  live_traces_.clear();  // policies survive: they are configuration
   tail_pending_total_ = 0;
   tail_slow_traces_ = 0;
   tail_overflows_ = 0;

@@ -86,8 +86,7 @@ struct SpanRecord {
   /// family this record stands for. 1 unless a sampling policy applies; a
   /// policy-dropped span is never buffered and instead credits +1 here on
   /// the last kept span of its family, so weighted aggregates over the
-  /// buffer equal the exact unsampled counts. 0 marks a sampled-out span
-  /// while it is still open (it is discarded, not buffered, at end()).
+  /// buffer equal the exact unsampled counts.
   std::uint64_t weight = 1;
   std::vector<SpanAttr> attrs;
   std::vector<SpanLink> links;
@@ -151,30 +150,21 @@ class Tracer {
   /// No-op on unknown ids or past kMaxLinksPerSpan.
   void add_link(std::uint64_t id, SpanLink link);
 
-  /// Deterministic head-based sampling for a high-frequency (component,
-  /// name) family: per trace, keep 1 in every `keep_one_in` spans (the
-  /// first is always kept). Dropped spans never enter the buffer; each adds
-  /// +1 weight to the last kept span of the same family and trace, so
-  /// sum-of-weights over kept spans equals the exact span count at every
-  /// instant. `keep_one_in <= 1` removes the policy. Only apply to leaf
-  /// spans: a sampled-out span is discarded, so children parented under it
-  /// would become unreachable in their trace.
-  void set_sampling(std::string_view component, std::string_view name,
-                    std::uint64_t keep_one_in);
-
-  /// Tail-based sampling: like set_sampling, but the keep/drop decision for
-  /// each trace is deferred until its root span ends. Finished spans of the
-  /// family buffer as *pending* until then; if the root's duration is at
-  /// least `tail_threshold_us` the whole trace is a slow outlier and every
-  /// pending span commits at weight 1 (full fidelity), otherwise the
-  /// pending buffer falls back to head sampling (keep 1 in `keep_one_in`,
-  /// drops credit the last kept sibling). Spans of the family that finish
-  /// after the root carry the same decision. Everything is driven by sim
-  /// time, so the decision is deterministic and replay-stable. Conservation
-  /// contract: sum-of-weights over kept spans plus tail_pending() of the
-  /// family equals the exact span count at every instant.
-  /// `keep_one_in <= 1` removes the policy; `tail_threshold_us <= 0`
-  /// degenerates to plain head sampling.
+  /// Weighted tail-based sampling for a high-frequency (component, name)
+  /// family. Finished spans of the family buffer per trace as *pending*
+  /// until the trace's root span ends. If `tail_threshold_us > 0` and the
+  /// root ran at least that long, the trace is a slow outlier and every
+  /// pending span commits at weight 1 (full fidelity). Otherwise the buffer
+  /// is head-sampled: keep 1 in `keep_one_in` (the first is always kept),
+  /// each dropped span adding +1 weight to the last kept span of its family
+  /// and trace. The decision uses sim time and counters only, so it is
+  /// deterministic and replay-stable. Conservation contract: sum-of-weights
+  /// over kept spans plus tail_pending() of the family equals the exact
+  /// span count at every instant. A family span that finishes after its
+  /// root has ended commits at weight 1. Calling this again for a family
+  /// overwrites its parameters; they apply at each trace's next decision.
+  /// `keep_one_in <= 1` keeps every span. Only apply to leaf spans: a
+  /// dropped span's children would become unreachable in their trace.
   void set_tail_sampling(std::string_view component, std::string_view name,
                          std::uint64_t keep_one_in,
                          std::int64_t tail_threshold_us);
@@ -204,7 +194,7 @@ class Tracer {
   /// Traces decided as slow outliers (kept at full fidelity) so far.
   std::uint64_t tail_slow_traces() const { return tail_slow_traces_; }
   /// Times a (family, trace) pending buffer hit kMaxTailPendingPerTrace and
-  /// its prefix was flushed through head sampling before the root ended.
+  /// its prefix was head-sampled before the root ended.
   std::uint64_t tail_overflows() const { return tail_overflows_; }
 
   /// All trace ids with at least one finished, indexed span (ascending).
@@ -225,50 +215,42 @@ class Tracer {
   void write_jsonl(std::ostream& out) const;
 
  private:
-  struct Open {
-    SpanRecord record;
-  };
-
   /// One registered sampling policy. Families are few (hand-registered per
-  /// component), so lookups are linear scans over this vector.
+  /// component), so lookups are linear scans over this vector. Policies are
+  /// never erased, so an index names the same family for good.
   struct SamplingPolicy {
     std::string component;
     std::string name;
-    std::uint64_t keep_one_in = 1;
-    /// > 0 switches the family to tail mode: per-trace keep/drop decisions
-    /// wait for the trace root and compare its duration to this threshold.
-    std::int64_t tail_threshold_us = 0;
+    std::uint64_t keep_one_in = 1;     ///< >= 1
+    std::int64_t tail_threshold_us = 0;  ///< <= 0: never a slow outlier
   };
-  /// Per-(policy, trace) sampling state.
-  struct FamilyState {
-    std::uint64_t count = 0;       ///< spans begun in this family+trace
-    std::uint32_t last_kept = 0;   ///< index into finished_ of the last kept
+  /// Sampling state of one policy's family within one live trace.
+  struct FamilySample {
+    std::uint64_t count = 0;      ///< head-sampling decisions made so far
+    std::uint32_t last_kept = 0;  ///< index into finished_ of the last kept
     bool has_kept = false;
+    std::vector<SpanRecord> pending;  ///< finished, undecided, finish order
   };
-  /// Per-trace tail decision input, recorded when the trace root ends, so
-  /// spans of tail families that finish later follow the same policy. The
-  /// root duration (not a bool) is stored because each family compares it
-  /// against its own threshold.
-  struct TailDecision {
-    std::int64_t root_duration_us = 0;
-  };
+  static constexpr std::size_t kNoPolicy = static_cast<std::size_t>(-1);
 
   SpanRecord make_record(std::string_view component, std::string_view name,
                          TraceContext ctx, bool inherit_stack);
   void finish_record(SpanRecord&& record, std::int64_t now);
-  /// Buffer-commit half of finish_record: index + family bookkeeping.
-  void commit_record(SpanRecord&& record, std::size_t fam);
-  /// Discard a span under head sampling, crediting its weight.
-  void drop_record(const SpanRecord& record, std::size_t fam);
-  /// Run `record` through the head-sampling counter of its family+trace.
-  void head_decide(SpanRecord&& record, std::size_t fam);
-  /// Root of `trace` just ended with this duration: decide every tail
-  /// family's pending buffer for the trace and flush it into finished_.
-  void resolve_tail(std::uint64_t trace, std::int64_t root_duration_us);
-  /// Flush one (family, trace) pending buffer under a known decision.
-  void flush_tail_pending(std::size_t fam, std::uint64_t trace, bool keep_all);
-  SpanRecord* find_open(std::uint64_t id);
-  /// Index into policies_ for this family, or npos.
+  /// Append to finished_ and the trace index; false if the cap dropped it.
+  bool commit_record(SpanRecord&& record);
+  /// Root of `trace` ended: decide every family's pending spans in policy
+  /// order and forget the trace's sampling state.
+  void settle_trace(std::uint64_t trace, std::int64_t root_duration_us);
+  /// Commit a family's pending spans: all of them, or 1 in keep_one_in.
+  void flush(FamilySample& family, std::size_t fam, bool keep_all);
+  const SpanRecord* find_open(std::uint64_t id) const;
+  SpanRecord* find_open(std::uint64_t id) {
+    return const_cast<SpanRecord*>(std::as_const(*this).find_open(id));
+  }
+  /// New attribute on an open span; nullptr on unknown ids or at the cap.
+  SpanAttr* add_attr(std::uint64_t id, std::string_view key,
+                     SpanAttr::Kind kind);
+  /// Index into policies_ for this family, or kNoPolicy.
   std::size_t policy_index(std::string_view component,
                            std::string_view name) const;
 
@@ -286,14 +268,11 @@ class Tracer {
   std::uint64_t tail_slow_traces_ = 0;
   std::uint64_t tail_overflows_ = 0;
   std::vector<SamplingPolicy> policies_;
-  std::map<std::pair<std::size_t, std::uint64_t>, FamilyState> family_state_;
-  /// (policy, trace) -> finished-but-undecided tail spans, in finish order.
-  std::map<std::pair<std::size_t, std::uint64_t>, std::vector<SpanRecord>>
-      tail_pending_;
-  /// trace -> tail decision once its root has ended (or overflow forced
-  /// head mode); absent means undecided.
-  std::map<std::uint64_t, TailDecision> tail_decisions_;
-  std::vector<Open> open_;
+  /// Trace whose root has not ended -> per-policy sampling state (indexed
+  /// like policies_, grown on demand). Created with the trace id, erased
+  /// when the root ends.
+  std::map<std::uint64_t, std::vector<FamilySample>> live_traces_;
+  std::vector<SpanRecord> open_;
   std::map<std::uint64_t, SpanRecord> detached_;
   std::vector<SpanRecord> finished_;
   /// trace id -> indices into finished_, in finish order.

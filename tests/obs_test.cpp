@@ -23,6 +23,7 @@
 #include "testing/harness.hpp"
 #include "testing/scenario.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -482,12 +483,14 @@ TEST(Spans, OpenSpansSurviveTheSimulatorEventCap) {
 
 // The conservation contract: with keep-1-in-4 on (mirror, frame), opening
 // and closing N frame spans buffers only the kept ones, but their weights
-// always sum to the exact span count — at every instant, not just at the
-// end — so weighted aggregates equal unsampled counters.
+// plus the spans still pending their trace's decision always sum to the
+// exact span count — at every instant, not just at the end — so weighted
+// aggregates equal unsampled counters. A zero threshold always head-samples
+// at root end.
 TEST(Sampling, WeightsConserveTheExactSpanCount) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 4);
+  tracer.set_tail_sampling("mirror", "frame", 4, 0);
   const std::uint64_t session = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(session);
   for (int i = 0; i < 10; ++i) {
@@ -495,10 +498,12 @@ TEST(Sampling, WeightsConserveTheExactSpanCount) {
     { obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx}; }
     std::uint64_t weighted = 0;
     for (const obs::SpanRecord& s : tracer.spans()) weighted += s.weight;
-    EXPECT_EQ(weighted, static_cast<std::uint64_t>(i + 1))
+    EXPECT_EQ(weighted + tracer.tail_pending("mirror", "frame"),
+              static_cast<std::uint64_t>(i + 1))
         << "conservation broke after frame " << i;
   }
   tracer.end(session);
+  EXPECT_EQ(tracer.tail_pending(), 0u);
 
   // Counts 0..9 with keep-1-in-4: 0, 4, 8 kept; each drop credits the last
   // kept span of its family, so the weights land 4, 4, 2.
@@ -518,7 +523,7 @@ TEST(Sampling, WeightsConserveTheExactSpanCount) {
 TEST(Sampling, FirstSpanOfEveryTraceIsKept) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 8);
+  tracer.set_tail_sampling("mirror", "frame", 8, 0);
   for (int t = 0; t < 3; ++t) {
     const std::uint64_t root = tracer.begin_detached("mirror", "session");
     const obs::TraceContext ctx = tracer.context_of(root);
@@ -536,8 +541,8 @@ TEST(Sampling, FirstSpanOfEveryTraceIsKept) {
 TEST(Sampling, KeepOneInOneRemovesThePolicy) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 4);
-  tracer.set_sampling("mirror", "frame", 1);
+  tracer.set_tail_sampling("mirror", "frame", 4, 0);
+  tracer.set_tail_sampling("mirror", "frame", 1, 0);
   const std::uint64_t root = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(root);
   for (int i = 0; i < 6; ++i) {
@@ -549,18 +554,18 @@ TEST(Sampling, KeepOneInOneRemovesThePolicy) {
 }
 
 // end() misuse accounting must stay exact for sampled-out spans: the span
-// was never buffered, but its id is live until the first end(), and only a
-// second end() of the same id is a mismatch.
+// never reaches the buffer, but its id is live until the first end(), and
+// only a second end() of the same id is a mismatch.
 TEST(Sampling, EndMismatchCountingSurvivesSampledOutSpans) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 2);
+  tracer.set_tail_sampling("mirror", "frame", 2, 0);
   const std::uint64_t root = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(root);
   const std::uint64_t kept = tracer.begin_detached("mirror", "frame", ctx);
   const std::uint64_t dropped = tracer.begin_detached("mirror", "frame", ctx);
   tracer.end(kept);
-  tracer.end(dropped);  // discarded, not buffered — still a clean end
+  tracer.end(dropped);  // pending, dropped at root end — still a clean end
   EXPECT_EQ(tracer.end_mismatches(), 0u);
   tracer.end(dropped);  // double end of the sampled-out span
   EXPECT_EQ(tracer.end_mismatches(), 1u);
@@ -654,26 +659,33 @@ TEST(TailSampling, PendingPlusKeptWeightsConserveTheCount) {
   EXPECT_EQ(tracer.weight_uncredited(), 0u);
 }
 
-// Spans of the family that finish AFTER the root's decision inherit it
-// instead of re-buffering.
+// Spans of the family that finish AFTER their root has ended never
+// re-buffer: the trace's sampling state is gone, so they commit at weight 1
+// whether the root was slow or fast.
 TEST(TailSampling, LateSpansFollowTheTraceDecision) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
   tracer.set_tail_sampling("mirror", "frame", 4, 1000);
-  const std::uint64_t root = tracer.begin_detached("mirror", "session");
-  const obs::TraceContext ctx = tracer.context_of(root);
+  const std::uint64_t slow = tracer.begin_detached("mirror", "session");
+  const obs::TraceContext slow_ctx = tracer.context_of(slow);
   now_us += 2000;
-  tracer.end(root);  // slow outlier, decided with zero pending frames
+  tracer.end(slow);  // slow outlier, decided with zero pending frames
+  const std::uint64_t fast = tracer.begin_detached("mirror", "session");
+  const obs::TraceContext fast_ctx = tracer.context_of(fast);
+  tracer.end(fast);  // fast root: would head-sample, but nothing is pending
   for (int i = 0; i < 5; ++i) {
-    obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx};
+    { obs::ScopedSpan frame{&tracer, "mirror", "frame", slow_ctx}; }
+    { obs::ScopedSpan frame{&tracer, "mirror", "frame", fast_ctx}; }
   }
-  std::size_t frames = 0;
+  std::size_t slow_frames = 0, fast_frames = 0;
   for (const obs::SpanRecord& s : tracer.spans()) {
     if (s.name != "frame") continue;
-    ++frames;
+    ++(s.trace == slow_ctx.trace ? slow_frames : fast_frames);
     EXPECT_EQ(s.weight, 1u);
   }
-  EXPECT_EQ(frames, 5u) << "post-decision spans keep full fidelity";
+  EXPECT_EQ(slow_frames, 5u) << "post-decision spans keep full fidelity";
+  EXPECT_EQ(fast_frames, 5u) << "late spans are not head-sampled";
+  EXPECT_EQ(tracer.sampled_out(), 0u);
   EXPECT_EQ(tracer.tail_pending(), 0u);
 }
 
@@ -698,8 +710,8 @@ TEST(TailSampling, PendingBufferOverflowFlushesPrefix) {
   EXPECT_EQ(tracer.tail_pending(), 0u);
 }
 
-// Re-configuring or removing the policy flushes pending spans through the
-// previous policy's head fallback rather than leaking them.
+// Turning sampling off (keep 1 in 1) applies at the trace's next decision:
+// pending spans stay pending until the root ends, then all of them commit.
 TEST(TailSampling, RemovingThePolicyFlushesPendingSpans) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
@@ -710,14 +722,171 @@ TEST(TailSampling, RemovingThePolicyFlushesPendingSpans) {
     obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx};
   }
   EXPECT_EQ(tracer.tail_pending("mirror", "frame"), 4u);
-  tracer.set_tail_sampling("mirror", "frame", 1, 0);  // remove
+  tracer.set_tail_sampling("mirror", "frame", 1, 0);  // keep every span
+  EXPECT_EQ(tracer.tail_pending("mirror", "frame"), 4u)
+      << "re-registration decides nothing by itself";
+  tracer.end(root);  // fast root: head-sampled at keep 1 in 1
   EXPECT_EQ(tracer.tail_pending(), 0u);
-  std::uint64_t weighted = 0;
+  std::uint64_t frames = 0;
   for (const obs::SpanRecord& s : tracer.spans()) {
-    if (s.name == "frame") weighted += s.weight;
+    if (s.name != "frame") continue;
+    ++frames;
+    EXPECT_EQ(s.weight, 1u);
   }
-  EXPECT_EQ(weighted, 4u) << "the flush conserves every buffered span";
-  tracer.end(root);
+  EXPECT_EQ(frames, 4u) << "every buffered span commits";
+  EXPECT_EQ(tracer.sampled_out(), 0u);
+}
+
+// Every MirroringSession / PowerMonitor constructor re-registers its
+// family's policy. Re-registering unchanged parameters must not decide the
+// live traces: a fast root still head-samples its pending spans.
+TEST(TailSampling, ReRegisteringDoesNotDecideLiveTraces) {
+  std::int64_t now_us = 0;
+  obs::Tracer tracer{[&] { return now_us; }};
+  tracer.set_tail_sampling("mirror", "frame", 4, 1000);
+  const std::uint64_t root = tracer.begin_detached("mirror", "session");
+  const obs::TraceContext ctx = tracer.context_of(root);
+  for (int i = 0; i < 8; ++i) {
+    obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx};
+  }
+  tracer.set_tail_sampling("mirror", "frame", 4, 1000);
+  EXPECT_EQ(tracer.tail_pending("mirror", "frame"), 8u);
+  EXPECT_TRUE(tracer.spans().empty());
+  tracer.end(root);  // 0 us < 1000 us: fast
+  std::uint64_t kept = 0, weighted = 0;
+  for (const obs::SpanRecord& s : tracer.spans()) {
+    if (s.name != "frame") continue;
+    ++kept;
+    weighted += s.weight;
+  }
+  EXPECT_EQ(kept, 2u) << "8 frames at keep-1-in-4";
+  EXPECT_EQ(weighted, 8u);
+  EXPECT_EQ(tracer.tail_slow_traces(), 0u);
+}
+
+// Property: the conservation contract holds after every step of seeded
+// random interleavings over both production families — at least three live
+// traces, fast and slow roots, late spans, mid-trace re-registrations, one
+// kMaxTailPendingPerTrace overflow and, on some seeds, a small span buffer.
+// Until the buffer cap drops a span, kept weights plus tail_pending() equal
+// the spans ended per family (an overflow only head-samples early, so it
+// keeps the count exact); after that they can only fall short. Once every
+// root has ended, nothing is left pending.
+TEST(TailSampling, ConservationHoldsAcrossSeededInterleavings) {
+  struct Family {
+    const char* component;
+    const char* name;
+    std::uint64_t keep_one_in;
+    std::int64_t threshold_us;
+  };
+  const Family families[] = {{"mirror", "frame", 4, 5'000},
+                             {"monsoon", "synth_block", 8, 4'000}};
+  std::uint64_t exact_checks = 0, slow = 0, late = 0, overflows = 0;
+  std::uint64_t sampled_out = 0, capped_seeds = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng{seed};
+    std::int64_t now_us = 0;
+    obs::Tracer tracer{[&] { return now_us; }, seed % 4 == 0 ? 48u : 65536u};
+    for (const Family& f : families) {
+      tracer.set_tail_sampling(f.component, f.name, f.keep_one_in,
+                               f.threshold_us);
+    }
+    std::vector<std::uint64_t> live;       // open root span ids
+    std::vector<obs::TraceContext> ended;  // contexts of settled traces
+    std::uint64_t spans_ended[2] = {0, 0};
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const auto end_family_span = [&](std::size_t f, obs::TraceContext ctx) {
+      { obs::ScopedSpan span{&tracer, families[f].component,
+                             families[f].name, ctx}; }
+      ++spans_ended[f];
+    };
+    // "" when the contract holds, else what broke.
+    const auto check = [&]() -> std::string {
+      std::uint64_t pending_total = 0;
+      for (std::size_t f = 0; f < 2; ++f) {
+        std::uint64_t weighted = 0;
+        for (const obs::SpanRecord& s : tracer.spans()) {
+          if (s.component == families[f].component &&
+              s.name == families[f].name) {
+            weighted += s.weight;
+          }
+        }
+        const std::uint64_t pending =
+            tracer.tail_pending(families[f].component, families[f].name);
+        pending_total += pending;
+        const bool exact = tracer.dropped() == 0;
+        if (exact ? weighted + pending != spans_ended[f]
+                  : weighted + pending > spans_ended[f]) {
+          return std::string{families[f].name} + ": kept " +
+                 std::to_string(weighted) + " + pending " +
+                 std::to_string(pending) + " vs ended " +
+                 std::to_string(spans_ended[f]);
+        }
+        if (exact) ++exact_checks;
+      }
+      if (tracer.dropped() == 0 && tracer.weight_uncredited() != 0) {
+        return "uncredited weight without a buffer drop";
+      }
+      if (tracer.tail_pending() != pending_total) return "pending total";
+      return "";
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      now_us += rng.uniform_int(1, 400);
+      while (live.size() < 3) {
+        live.push_back(tracer.begin_detached("scheduler", "job"));
+      }
+      const std::int64_t op = rng.uniform_int(0, 19);
+      if (seed % 6 == 1 && step == 150) {
+        // Runaway trace: one more span than the pending bound.
+        const obs::TraceContext ctx = tracer.context_of(live[0]);
+        for (std::size_t i = 0; i <= obs::Tracer::kMaxTailPendingPerTrace;
+             ++i) {
+          end_family_span(0, ctx);
+        }
+      } else if (op < 14) {
+        end_family_span(pick(2), tracer.context_of(live[pick(live.size())]));
+      } else if (op < 17) {
+        const std::size_t i = pick(live.size());
+        ended.push_back(tracer.context_of(live[i]));
+        tracer.end(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (op < 18 && !ended.empty()) {
+        end_family_span(pick(2), ended[pick(ended.size())]);
+        ++late;
+      } else {
+        // Re-register mid-trace: half the time unchanged, else perturbed.
+        const Family& f = families[pick(2)];
+        const bool same = rng.chance(0.5);
+        tracer.set_tail_sampling(
+            f.component, f.name,
+            same ? f.keep_one_in
+                 : static_cast<std::uint64_t>(rng.uniform_int(1, 8)),
+            same ? f.threshold_us : rng.uniform_int(0, 6'000));
+      }
+      ASSERT_EQ(check(), "") << "seed " << seed << " step " << step;
+    }
+    for (const std::uint64_t root : live) {
+      now_us += 1'000;
+      tracer.end(root);
+      ASSERT_EQ(check(), "") << "seed " << seed << " final roots";
+    }
+    EXPECT_EQ(tracer.tail_pending(), 0u) << "seed " << seed;
+    slow += tracer.tail_slow_traces();
+    sampled_out += tracer.sampled_out();
+    overflows += tracer.tail_overflows();
+    if (tracer.dropped() > 0) ++capped_seeds;
+  }
+  // Vacuity guards: every ingredient actually occurred.
+  EXPECT_GT(slow, 0u);
+  EXPECT_GT(sampled_out, 0u) << "no fast root head-sampled anything";
+  EXPECT_GT(late, 0u);
+  EXPECT_GE(overflows, 4u);
+  EXPECT_GT(capped_seeds, 0u);
+  EXPECT_GT(exact_checks, 0u);
 }
 
 // ------------------------------------------------------------- links -----
@@ -755,13 +924,13 @@ TEST(Links, TypedCrossTraceEdgesAttachAndCap) {
 TEST(Links, PerfettoRendersWeightAndLinkArgs) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 2);
+  tracer.set_tail_sampling("mirror", "frame", 2, 0);
   const std::uint64_t root = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(root);
   const std::uint64_t a = tracer.begin_detached("mirror", "frame", ctx);
   tracer.end(a);
   const std::uint64_t b = tracer.begin_detached("mirror", "frame", ctx);
-  tracer.end(b);  // sampled out: credits a's record with weight 2
+  tracer.end(b);  // sampled out at root end: credits a's record, weight 2
   tracer.add_link(root, obs::SpanLink{7, 3, "retry_of"});
   tracer.end(root);
 
