@@ -82,7 +82,7 @@ std::string make_capture_bytes(blab::util::Rng& rng, std::size_t n,
                             make_samples(rng, n)};
   auto cc = blab::store::ChunkedCapture::encode(capture, chunk_samples);
   if (purge_raw) cc.drop_raw();
-  return cc.serialize();
+  return std::string{cc.serialize()};
 }
 
 }  // namespace

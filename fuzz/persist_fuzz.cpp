@@ -6,7 +6,8 @@
 //      byte (clean + dropped == size) and re-encoding the recovered records
 //      must reproduce the committed prefix byte-identically. The same bytes
 //      also check the crc32c() implementation selected for this CPU against
-//      the table reference, whole and chained across a split;
+//      the table reference, whole, chained across a split, and combined
+//      across it with crc32c_combine;
 //   1: structured WAL — build records from the input, then truncate or
 //      byte-flip the image; recovery must yield an exact prefix of the
 //      originals, never a record that was not written;
@@ -80,6 +81,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       FUZZ_ASSERT(persist::crc32c(view.substr(split),
                                   persist::crc32c(view.substr(0, split))) ==
                   reference);
+      FUZZ_ASSERT(persist::crc32c_combine(
+                      persist::crc32c(view.substr(0, split)),
+                      persist::crc32c(view.substr(split)),
+                      view.size() - split) == reference);
       break;
     }
     case 1: {

@@ -7,16 +7,22 @@
 //   1: structured sample round-trip — arbitrary bit patterns encode, decode
 //      bit-exactly, and decoding with the wrong count must fail;
 //   2: arbitrary bytes through ChunkedCapture::deserialize; accepted
-//      captures must re-serialize byte-identically and answer every footer
-//      query without crashing;
-//   3: encode a valid capture, corrupt one byte, deserialize — must either
-//      reject or stay internally consistent, never crash.
+//      captures must re-serialize byte-identically, answer every footer
+//      query without crashing, and rebuild a summary image (drop_raw, and
+//      summary_image straight from the bytes, which must agree) that parses
+//      back with the same footers and tiers;
+//   3: encode a valid capture — its image, raw and purged, must equal the
+//      four-pass reference encoder's byte for byte — then corrupt one byte
+//      and deserialize: must either reject or stay internally consistent,
+//      never crash.
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "fuzz_input.hpp"
 #include "store/chunked_capture.hpp"
+#include "store/chunked_capture_internal.hpp"
 #include "store/codec.hpp"
 #include "util/time.hpp"
 
@@ -38,6 +44,18 @@ void exercise_queries(const blab::store::ChunkedCapture& cc) {
     (void)cc.decode_chunk(i);  // ok or typed error, never UB
   }
   (void)cc.decode();
+}
+
+/// Field-wise bit equality (NaN footers compare equal to themselves).
+bool same_bits(const blab::store::ChunkFooter& a,
+               const blab::store::ChunkFooter& b) {
+  return a.count == b.count &&
+         std::bit_cast<std::uint32_t>(a.min_ma) ==
+             std::bit_cast<std::uint32_t>(b.min_ma) &&
+         std::bit_cast<std::uint32_t>(a.max_ma) ==
+             std::bit_cast<std::uint32_t>(b.max_ma) &&
+         std::bit_cast<std::uint64_t>(a.sum_ma) ==
+             std::bit_cast<std::uint64_t>(b.sum_ma);
 }
 
 }  // namespace
@@ -87,6 +105,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (result.ok()) {
         FUZZ_ASSERT(result.value().serialize() == bytes);
         exercise_queries(result.value());
+        blab::store::ChunkedCapture summary = result.value();
+        summary.drop_raw();
+        const auto direct = blab::store::ChunkedCapture::summary_image(bytes);
+        FUZZ_ASSERT(direct.ok());
+        FUZZ_ASSERT(direct.value() == summary.serialize());
+        const auto reparsed =
+            blab::store::ChunkedCapture::deserialize(summary.serialize());
+        FUZZ_ASSERT(reparsed.ok());
+        const blab::store::ChunkedCapture& back = reparsed.value();
+        FUZZ_ASSERT(!back.raw_available());
+        FUZZ_ASSERT(back.sample_count() == result.value().sample_count());
+        FUZZ_ASSERT(back.chunk_count() == result.value().chunk_count());
+        for (std::size_t i = 0; i < back.chunk_count(); ++i) {
+          FUZZ_ASSERT(same_bits(back.footer(i), result.value().footer(i)));
+        }
+        FUZZ_ASSERT(back.tiers().size() == result.value().tiers().size());
       }
       break;
     }
@@ -104,8 +138,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       const blab::hw::Capture capture{blab::util::TimePoint::epoch(), 5000.0,
                                       3.7, std::move(samples)};
       auto cc = blab::store::ChunkedCapture::encode(capture, chunk_samples);
-      if (purge) cc.drop_raw();
-      std::string bytes = cc.serialize();
+      // The single-pass encoder against the four-pass reference.
+      FUZZ_ASSERT(cc.serialize() == blab::store::detail::encode_reference(
+                                        capture, chunk_samples));
+      if (purge) {
+        cc.drop_raw();
+        FUZZ_ASSERT(cc.serialize() == blab::store::detail::encode_reference(
+                                          capture, chunk_samples, true));
+      }
+      std::string bytes{cc.serialize()};
       {
         // Sanity: the untampered image must round-trip.
         const auto clean = blab::store::ChunkedCapture::deserialize(bytes);

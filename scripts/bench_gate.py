@@ -63,6 +63,9 @@ def collect_current(micro, e2e, store, persist, flame, health):
     rates["scenario_e2e_scenarios_per_s"] = e2e["scenarios_per_s"]
     rates["store_sim_events_per_s"] = store["sim_events_per_s"]
     rates["store_synth_samples_per_s"] = store["synth_samples_per_s"]
+    rates["store_encode_samples_per_s"] = (
+        store["encode_msamples_per_s"] * 1e6
+    )
     rates["persist_append_samples_per_s"] = persist[
         "persist_append_samples_per_s"
     ]

@@ -8,6 +8,21 @@
 #include "util/strings.hpp"
 
 namespace blab::analysis {
+namespace {
+
+/// A file export succeeded only if every write and the close did: a full
+/// disk or an I/O error fails the stream, not the open.
+util::Status close_checked(std::ofstream& out, const std::string& path) {
+  const bool written = static_cast<bool>(out);
+  out.close();
+  if (!written || !out) {
+    return util::make_error(util::ErrorCode::kUnavailable,
+                            "write failed for " + path);
+  }
+  return util::Status::ok_status();
+}
+
+}  // namespace
 
 void write_capture_csv(const hw::Capture& capture, std::ostream& os,
                        std::size_t stride) {
@@ -41,7 +56,7 @@ util::Status write_capture_csv(const hw::Capture& capture,
                             "cannot open " + path + " for writing");
   }
   write_capture_csv(capture, out, stride);
-  return util::Status::ok_status();
+  return close_checked(out, path);
 }
 
 util::Result<hw::Capture> read_capture_csv_stream(std::istream& is) {
@@ -133,7 +148,8 @@ util::Result<hw::Capture> read_capture_csv(const std::string& path) {
 }
 
 void write_capture_chunked(const hw::Capture& capture, std::ostream& os) {
-  const std::string bytes = store::ChunkedCapture::encode(capture).serialize();
+  const store::ChunkedCapture chunked = store::ChunkedCapture::encode(capture);
+  const std::string_view bytes = chunked.serialize();
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
@@ -145,14 +161,13 @@ util::Status write_capture_chunked(const hw::Capture& capture,
                             "cannot open " + path + " for writing");
   }
   write_capture_chunked(capture, out);
-  return util::Status::ok_status();
+  return close_checked(out, path);
 }
 
 util::Result<hw::Capture> read_capture_chunked_stream(std::istream& is) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  const std::string bytes = buffer.str();
-  auto chunked = store::ChunkedCapture::deserialize(bytes);
+  auto chunked = store::ChunkedCapture::deserialize(buffer.str());
   if (!chunked.ok()) return chunked.error();
   return chunked.value().decode();
 }

@@ -17,7 +17,9 @@
 namespace blab::analysis {
 
 /// Write a capture as CSV. `stride` keeps every n-th sample (1 = all; a
-/// 5-minute 5 kHz capture at stride 1 is 1.5 M rows).
+/// 5-minute 5 kHz capture at stride 1 is 1.5 M rows). The file writers
+/// (here and write_capture_chunked) fail with kUnavailable when the file
+/// cannot be opened or any write or the close fails.
 util::Status write_capture_csv(const hw::Capture& capture,
                                const std::string& path,
                                std::size_t stride = 1);

@@ -5,11 +5,8 @@
 namespace blab::store {
 
 void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
+  char buf[10];
+  out.append(buf, put_varint(buf, v));
 }
 
 const char* get_varint(const char* p, const char* end, std::uint64_t& v) {
@@ -33,11 +30,13 @@ const char* get_varint(const char* p, const char* end, std::uint64_t& v) {
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  char buf[4];
+  out.append(buf, put_u32(buf, v));
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  char buf[8];
+  out.append(buf, put_u64(buf, v));
 }
 
 void put_f32(std::string& out, float v) {
@@ -80,17 +79,22 @@ const char* get_f64(const char* p, const char* end, double& v) {
   return p;
 }
 
-std::string encode_samples(const float* samples, std::size_t n) {
-  std::string out;
+char* encode_samples(const float* samples, std::size_t n, char* out) {
   if (n == 0) return out;
-  out.reserve(n * 3);
   std::int64_t prev = std::bit_cast<std::uint32_t>(samples[0]);
-  put_varint(out, static_cast<std::uint64_t>(prev));
+  out = put_varint(out, static_cast<std::uint64_t>(prev));
   for (std::size_t i = 1; i < n; ++i) {
     const std::int64_t bits = std::bit_cast<std::uint32_t>(samples[i]);
-    put_varint(out, zigzag_encode(bits - prev));
+    out = put_varint(out, zigzag_encode(bits - prev));
     prev = bits;
   }
+  return out;
+}
+
+std::string encode_samples(const float* samples, std::size_t n) {
+  std::string out(n * kMaxSampleBytes, '\0');
+  out.resize(static_cast<std::size_t>(
+      encode_samples(samples, n, out.data()) - out.data()));
   return out;
 }
 

@@ -77,15 +77,6 @@ util::Status write_file_atomic(const std::string& path,
   return util::Status::ok_status();
 }
 
-/// Re-serialize capture bytes with the raw tier dropped (segment demotion
-/// from the raw stream into the summary stream).
-util::Result<std::string> demote_to_summary(std::string_view bytes) {
-  auto cc = ChunkedCapture::deserialize(bytes);
-  if (!cc.ok()) return cc.error();
-  cc.value().drop_raw();
-  return cc.value().serialize();
-}
-
 std::string shard_dir_name(std::size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "shard-%03zu", index);
@@ -462,19 +453,28 @@ util::Status PersistEngine::ensure_wal(Shard& shard) {
   return util::Status::ok_status();
 }
 
-util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& record) {
+util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& record,
+                                      std::string_view capture,
+                                      std::uint32_t capture_crc) {
   if (auto st = ensure_wal(shard); !st.ok()) return st;
-  std::string frame;
-  append_wal_record(frame, record);
-  if (std::fwrite(frame.data(), 1, frame.size(), shard.wal) != frame.size() ||
-      std::fflush(shard.wal) != 0) {
+  // The frame head, then the capture bytes where they already are: the
+  // frame is never assembled in memory.
+  const std::string head =
+      wal_frame_head(record, capture.size(), capture_crc);
+  const auto write = [&](std::string_view bytes) {
+    return bytes.empty() ||
+           std::fwrite(bytes.data(), 1, bytes.size(), shard.wal) ==
+               bytes.size();
+  };
+  if (!write(head) || !write(capture) || std::fflush(shard.wal) != 0) {
     return io_error("WAL append failed in " + shard.name);
   }
-  shard.wal_size += frame.size();
+  const std::uint64_t frame = head.size() + capture.size();
+  shard.wal_size += frame;
   ++stats_.wal_appends;
-  stats_.wal_bytes += frame.size();
+  stats_.wal_bytes += frame;
   bump(metrics_.wal_appends);
-  bump(metrics_.wal_bytes, frame.size());
+  bump(metrics_.wal_bytes, frame);
   return util::Status::ok_status();
 }
 
@@ -493,8 +493,11 @@ util::Status PersistEngine::append(const CaptureId& id,
   record.id = id;
   record.name = name;
   record.stored_at = stored_at;
-  record.capture = cc.serialize();
-  if (auto st = wal_write(shard, record); !st.ok()) return st;
+  // The capture's image is journaled in place and checksummed once; the
+  // frame CRC is combined from this one.
+  const std::string_view image = cc.serialize();
+  const std::uint32_t crc = crc32c(image);
+  if (auto st = wal_write(shard, record, image, crc); !st.ok()) return st;
 
   Entry entry;
   entry.name = name;
@@ -502,9 +505,9 @@ util::Status PersistEngine::append(const CaptureId& id,
   entry.raw_dropped = !cc.raw_available();
   entry.shard = shard_index;
   // The capture bytes are the frame's final field.
-  entry.offset = shard.wal_size - record.capture.size();
-  entry.length = record.capture.size();
-  entry.crc = crc32c(record.capture);
+  entry.offset = shard.wal_size - image.size();
+  entry.length = image.size();
+  entry.crc = crc;
   index_[id] = std::move(entry);
   next_seq_ = std::max(next_seq_, id.seq + 1);
   sync_gauges();
@@ -527,7 +530,7 @@ util::Status PersistEngine::note_drop_raw(const CaptureId& id) {
   record.op = WalOp::kDropRaw;
   record.id = id;
   Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record); !st.ok()) return st;
+  if (auto st = wal_write(shard, record, {}, 0); !st.ok()) return st;
   it->second.raw_dropped = true;
   if (!it->second.segment.empty()) {
     const auto seg = shard.segments.find(it->second.segment);
@@ -549,7 +552,7 @@ util::Status PersistEngine::note_erase(const CaptureId& id) {
   record.op = WalOp::kErase;
   record.id = id;
   Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record); !st.ok()) return st;
+  if (auto st = wal_write(shard, record, {}, 0); !st.ok()) return st;
   if (!it->second.segment.empty()) {
     const auto seg = shard.segments.find(it->second.segment);
     if (seg != shard.segments.end()) {
@@ -575,7 +578,8 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
     record.name = entry.name;
     record.stored_at = entry.stored_at;
     if (entry.raw_dropped) {
-      auto demoted = demote_to_summary(bytes);
+      // Segment demotion, from the raw stream into the summary stream.
+      auto demoted = ChunkedCapture::summary_image(bytes);
       if (!demoted.ok()) return demoted.error();
       record.capture = std::move(demoted).take();
       summary_records.push_back(std::move(record));

@@ -12,8 +12,8 @@
 // fnv1a), so a vantage point's captures cluster in one directory and
 // recovery/compaction work is partitioned. Appends are journaled to the
 // shard WAL and acknowledged after an fflush; checkpoints fold the WAL into
-// append-only segment files (one stream per retention tier, embedding the
-// chunked columnar codec via ChunkedCapture::serialize), then install a new
+// append-only segment files (one stream per retention tier, embedding each
+// capture's canonical ChunkedCapture image), then install a new
 // manifest version and truncate the WAL. Recovery is the reverse: pick the
 // highest manifest that parses, open its segments, replay the WAL on top
 // (idempotently — a crash between manifest install and WAL truncation must
@@ -207,7 +207,10 @@ class PersistEngine {
   std::string shard_path(const Shard& shard) const;
   std::string wal_path(const Shard& shard) const;
   util::Status ensure_wal(Shard& shard);
-  util::Status wal_write(Shard& shard, const WalRecord& record);
+  /// Journal `record` with `capture` (crc32c `capture_crc`) as its capture
+  /// bytes; notes pass an empty capture.
+  util::Status wal_write(Shard& shard, const WalRecord& record,
+                         std::string_view capture, std::uint32_t capture_crc);
   util::Status recover_manifest(Manifest& manifest);
   util::Status recover_shard(std::size_t shard_index,
                              const std::vector<ManifestSegment>& segments);

@@ -63,26 +63,41 @@ bool parse_wal_payload(std::string_view payload, WalRecord& record) {
   return true;
 }
 
-}  // namespace
-
-void append_wal_record(std::string& out, const WalRecord& record) {
-  // The payload goes straight into `out` behind a placeholder [len][crc]
-  // header that is filled in last, so the capture is copied only once.
-  const std::size_t frame = out.size();
-  out.append(8, '\0');
+/// Every payload field before the capture bytes.
+void put_wal_fields(std::string& out, const WalRecord& record) {
   out.push_back(static_cast<char>(record.op));
   put_string(out, record.id.workspace);
   put_u64(out, record.id.seq);
   if (record.op == WalOp::kAppend) {
     put_string(out, record.name);
     put_u64(out, static_cast<std::uint64_t>(record.stored_at.us()));
-    out.append(record.capture);
   }
+}
+
+}  // namespace
+
+void append_wal_record(std::string& out, const WalRecord& record) {
+  // The payload goes straight into `out` behind a placeholder [len][crc]
+  // header that is filled in last, and is checksummed in one pass.
+  const std::size_t frame = out.size();
+  out.append(8, '\0');
+  put_wal_fields(out, record);
+  if (record.op == WalOp::kAppend) out.append(record.capture);
   const std::string_view payload = std::string_view{out}.substr(frame + 8);
-  std::string header;
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  char* header = out.data() + frame;
+  header = put_u32(header, static_cast<std::uint32_t>(payload.size()));
   put_u32(header, crc32c(payload));
-  out.replace(frame, header.size(), header);
+}
+
+std::string wal_frame_head(const WalRecord& record, std::size_t capture_size,
+                           std::uint32_t capture_crc) {
+  std::string head(8, '\0');
+  put_wal_fields(head, record);
+  const std::string_view fields = std::string_view{head}.substr(8);
+  char* p = head.data();
+  p = put_u32(p, static_cast<std::uint32_t>(fields.size() + capture_size));
+  put_u32(p, crc32c_combine(crc32c(fields), capture_crc, capture_size));
+  return head;
 }
 
 WalReplay parse_wal(std::string_view bytes) {
@@ -113,7 +128,16 @@ WalReplay parse_wal(std::string_view bytes) {
 
 std::string build_segment(std::uint8_t tier,
                           const std::vector<SegmentRecord>& records) {
-  std::string out{kSegmentMagic};
+  // Reserve the exact image size, so appending the index never reallocates
+  // (and re-copies) the payload region.
+  std::size_t size = kSegmentMagic.size() + 1 + 8 + kSegmentTrailerBytes;
+  for (const SegmentRecord& record : records) {
+    size += record.capture.size() + 4 + record.id.workspace.size() + 8 + 4 +
+            record.name.size() + 8 + 8 + 8 + 4;
+  }
+  std::string out;
+  out.reserve(size);
+  out.append(kSegmentMagic);
   out.push_back(static_cast<char>(tier));
   std::vector<SegmentEntry> entries;
   entries.reserve(records.size());

@@ -72,6 +72,14 @@ struct WalRecord {
 /// exactly what this emits).
 void append_wal_record(std::string& out, const WalRecord& record);
 
+/// The frame append_wal_record emits, minus its trailing capture bytes, for
+/// writers that keep the capture where it is: head + capture is the whole
+/// frame. `record.capture` is ignored; the capture is `capture_size` bytes
+/// with crc32c `capture_crc` (0 and 0 for kDropRaw/kErase), and the frame
+/// CRC is combined from that, so the capture is not checksummed again.
+std::string wal_frame_head(const WalRecord& record, std::size_t capture_size,
+                           std::uint32_t capture_crc);
+
 struct WalReplay {
   std::vector<WalRecord> records;
   std::size_t clean_bytes = 0;    ///< committed prefix length

@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,7 +60,7 @@ Capture make_capture(std::uint64_t seed, std::size_t n) {
 }
 
 std::string capture_bytes(std::uint64_t seed, std::size_t n) {
-  return ChunkedCapture::encode(make_capture(seed, n)).serialize();
+  return std::string{ChunkedCapture::encode(make_capture(seed, n)).serialize()};
 }
 
 /// Fresh per-test scratch directory (removed by the test on success).
@@ -192,6 +193,41 @@ TEST(Crc32c, SelectedMatchesTableOnChainedSplitsOfACaptureSizedBuffer) {
       at += len;
     }
     EXPECT_EQ(chained, whole) << "round " << round;
+  }
+}
+
+TEST(Crc32c, CombineMatchesConcatenation) {
+  // crc32c_combine only does polynomial arithmetic on the two CRCs, so it
+  // must agree with whichever implementation computed them.
+  blab::util::Rng rng{74};
+  const std::string big = random_bytes(rng, 3u << 20);
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    const auto combined = [&](std::string_view a, std::string_view b) {
+      return persist::crc32c_combine(path.fn(a, 0), path.fn(b, 0), b.size());
+    };
+    // Every split, empty halves included, of random buffers of 0-64 bytes.
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string bytes = random_bytes(rng, len);
+      const std::string_view view{bytes};
+      const std::uint32_t whole = path.fn(view, 0);
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        ASSERT_EQ(combined(view.substr(0, cut), view.substr(cut)), whole)
+            << "length " << len << " split at " << cut;
+      }
+    }
+    // A capture-sized buffer: both empty-half splits and random ones.
+    const std::string_view view{big};
+    const std::uint32_t whole = path.fn(view, 0);
+    std::vector<std::size_t> cuts{0, view.size()};
+    for (int i = 0; i < 6; ++i) {
+      cuts.push_back(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(view.size()))));
+    }
+    for (std::size_t cut : cuts) {
+      EXPECT_EQ(combined(view.substr(0, cut), view.substr(cut)), whole)
+          << "split at " << cut;
+    }
   }
 }
 
@@ -451,6 +487,75 @@ TEST(PersistEngine, WalOnlyRecoveryRestoresEverything) {
   EXPECT_EQ(loaded.value().serialize(), cc.serialize());
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, WalHoldsExactlyTheAppendedFramesAndReplays) {
+  // Appends journal the capture image by reference with a combined frame
+  // CRC; the file must still be, byte for byte, the frames
+  // append_wal_record builds from whole records.
+  const std::string dir = scratch_dir("wal-bytes");
+  persist::PersistOptions options;
+  options.shards = 1;
+  options.wal_checkpoint_bytes = std::size_t{1} << 40;  // never checkpoint
+  const ChunkedCapture raw = ChunkedCapture::encode(make_capture(31, 9000));
+  ChunkedCapture summary = ChunkedCapture::encode(make_capture(32, 5000));
+  summary.drop_raw();
+  const ChunkedCapture small = ChunkedCapture::encode(make_capture(33, 100), 7);
+  ChunkedCapture raw_dropped = raw;
+  raw_dropped.drop_raw();
+
+  std::string expected;
+  const auto frame = [&](persist::WalOp op, const CaptureId& id,
+                         const std::string& name, TimePoint at,
+                         const ChunkedCapture* cc) {
+    persist::WalRecord record;
+    record.op = op;
+    record.id = id;
+    record.name = name;
+    record.stored_at = at;
+    if (cc != nullptr) record.capture = cc->serialize();
+    persist::append_wal_record(expected, record);
+  };
+  {
+    persist::PersistEngine engine{dir, options};
+    ASSERT_TRUE(engine.open().ok());
+    const TimePoint t1 = TimePoint::from_micros(1'000'000);
+    const TimePoint t2 = TimePoint::from_micros(2'000'000);
+    const TimePoint t3 = TimePoint::from_micros(3'000'000);
+    ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV-1", t1, raw).ok());
+    frame(persist::WalOp::kAppend, {"vp-a", 1}, "DEV-1", t1, &raw);
+    ASSERT_TRUE(engine.append({"vp-b", 2}, "DEV-2", t2, summary).ok());
+    frame(persist::WalOp::kAppend, {"vp-b", 2}, "DEV-2", t2, &summary);
+    ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());
+    frame(persist::WalOp::kDropRaw, {"vp-a", 1}, "", TimePoint::epoch(),
+          nullptr);
+    ASSERT_TRUE(engine.append({"vp-a", 3}, "", t3, small).ok());
+    frame(persist::WalOp::kAppend, {"vp-a", 3}, "", t3, &small);
+    ASSERT_TRUE(engine.note_erase({"vp-b", 2}).ok());
+    frame(persist::WalOp::kErase, {"vp-b", 2}, "", TimePoint::epoch(),
+          nullptr);
+    ASSERT_TRUE(engine.note_erase({"vp-z", 9}).ok());  // unknown: no frame
+    EXPECT_EQ(engine.stats().wal_appends, 5u);
+    EXPECT_EQ(engine.stats().wal_bytes, expected.size());
+  }
+  std::ifstream in{dir + "/shard-000/wal.log", std::ios::binary};
+  const std::string wal{std::istreambuf_iterator<char>{in},
+                        std::istreambuf_iterator<char>{}};
+  EXPECT_TRUE(wal == expected) << "wal.log " << wal.size()
+                               << " B, frames " << expected.size() << " B";
+
+  persist::PersistEngine reopened{dir, options};
+  ASSERT_TRUE(reopened.open().ok());
+  EXPECT_EQ(reopened.stats().torn_tail_bytes, 0u);
+  ASSERT_EQ(reopened.size(), 2u);
+  EXPECT_FALSE(reopened.contains({"vp-b", 2}));
+  auto first = reopened.load({"vp-a", 1});
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(first.value().serialize(), raw_dropped.serialize());
+  auto third = reopened.load({"vp-a", 3});
+  ASSERT_TRUE(third.ok()) << third.error().message;
+  EXPECT_EQ(third.value().serialize(), small.serialize());
+  fs::remove_all(dir);
 }
 
 TEST(PersistEngine, CheckpointInstallsManifestAndSurvivesRestart) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "hw/power_monitor.hpp"
 #include "store/capture_store.hpp"
 #include "store/chunked_capture.hpp"
+#include "store/chunked_capture_internal.hpp"
 #include "store/codec.hpp"
 #include "util/rng.hpp"
 
@@ -22,6 +26,7 @@ using blab::store::CaptureId;
 using blab::store::CaptureStore;
 using blab::store::ChunkedCapture;
 using blab::store::RetentionPolicy;
+using blab::store::detail::encode_reference;
 using blab::util::Duration;
 using blab::util::ErrorCode;
 using blab::util::TimePoint;
@@ -179,8 +184,8 @@ TEST(ChunkedCapture, TierMeansAgreeWithRawWindows) {
 
 TEST(ChunkedCapture, ReencodeIsByteIdentical) {
   const Capture original = make_capture(6, 9001);
-  const std::string first = ChunkedCapture::encode(original).serialize();
-  const std::string second = ChunkedCapture::encode(original).serialize();
+  const std::string first{ChunkedCapture::encode(original).serialize()};
+  const std::string second{ChunkedCapture::encode(original).serialize()};
   EXPECT_EQ(first, second);
 }
 
@@ -212,14 +217,173 @@ TEST(ChunkedCapture, PurgedRawSurvivesSerialization) {
 }
 
 TEST(ChunkedCapture, DeserializeRejectsMalformedBytes) {
-  const std::string good = ChunkedCapture::encode(make_capture(9, 5000))
-                               .serialize();
+  const std::string good{
+      ChunkedCapture::encode(make_capture(9, 5000)).serialize()};
   EXPECT_FALSE(ChunkedCapture::deserialize("").ok());
   EXPECT_FALSE(ChunkedCapture::deserialize("XXXX" + good.substr(4)).ok());
   EXPECT_FALSE(
-      ChunkedCapture::deserialize(std::string_view{good}.substr(
-          0, good.size() / 2)).ok());
+      ChunkedCapture::deserialize(good.substr(0, good.size() / 2)).ok());
   EXPECT_FALSE(ChunkedCapture::deserialize(good + std::string(1, '\0')).ok());
+}
+
+// ------------------------------------------------------------------------
+// The single-pass encoder against the four-pass reference.
+// ------------------------------------------------------------------------
+
+/// Byte offset of the first difference, or the shorter length when one is a
+/// prefix of the other; npos when equal. Keeps failures readable on
+/// multi-kilobyte images.
+std::size_t first_difference(std::string_view a, std::string_view b) {
+  if (a == b) return std::string::npos;
+  const auto mismatch = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  return static_cast<std::size_t>(mismatch.first - a.begin());
+}
+
+/// encode() must produce the reference image byte for byte, and drop_raw()
+/// and summary_image() the reference summary image.
+void expect_matches_reference(const Capture& capture,
+                              std::size_t chunk_samples) {
+  SCOPED_TRACE(::testing::Message()
+               << capture.sample_count() << " samples at "
+               << capture.sample_hz() << " Hz, chunk_samples "
+               << chunk_samples);
+  ChunkedCapture cc = ChunkedCapture::encode(capture, chunk_samples);
+  const std::string raw = encode_reference(capture, chunk_samples);
+  EXPECT_EQ(first_difference(cc.serialize(), raw), std::string::npos)
+      << "image " << cc.serialize().size() << " B, reference " << raw.size()
+      << " B";
+  EXPECT_EQ(cc.byte_size(), raw.size());
+  cc.drop_raw();
+  const std::string summary =
+      encode_reference(capture, chunk_samples, /*drop_raw=*/true);
+  EXPECT_EQ(first_difference(cc.serialize(), summary), std::string::npos)
+      << "summary " << cc.serialize().size() << " B, reference "
+      << summary.size() << " B";
+  // summary_image validates like deserialize, which rejects non-finite
+  // footer sums (the special-value captures below).
+  const auto demoted = ChunkedCapture::summary_image(raw);
+  ASSERT_EQ(demoted.ok(), ChunkedCapture::deserialize(raw).ok());
+  if (demoted.ok()) {
+    EXPECT_EQ(first_difference(demoted.value(), summary), std::string::npos);
+  }
+}
+
+TEST(EncoderDifferential, LengthsAroundChunkAndTierBoundaries) {
+  // Empty, one sample, fewer samples than the 50 Hz tier's factor (100),
+  // and lengths just off multiples of 100, 4096 and 5000 — every way a
+  // chunk, a 50 Hz bucket and a 1 Hz bucket can end together or apart.
+  std::vector<std::size_t> lengths{0, 1, 2, 37, 99};
+  for (std::size_t unit : {100u, 4096u, 5000u}) {
+    for (std::size_t k : {1u, 2u, 3u}) {
+      for (std::size_t n : {k * unit - 1, k * unit, k * unit + 1}) {
+        lengths.push_back(n);
+      }
+    }
+  }
+  lengths.push_back(20480);  // 5 chunks, 204.8 tier buckets
+  for (std::size_t chunk_samples : {1u, 7u, 100u, 4096u, 5000u}) {
+    for (std::size_t n : lengths) {
+      expect_matches_reference(make_capture(n + 1, n), chunk_samples);
+    }
+  }
+}
+
+TEST(EncoderDifferential, TierLaddersAtOtherRates) {
+  // 50 Hz keeps only the 1 Hz tier (factor 50); 100 Hz gets a factor-2
+  // tier; 60 Hz one tier of 60; 1.5 Hz rounds to factor 2; 1 Hz has none.
+  for (double hz : {50.0, 100.0, 60.0, 1.5, 1.0}) {
+    for (std::size_t n : {0u, 1u, 2u, 3u, 49u, 50u, 51u, 99u, 100u, 101u,
+                          1001u}) {
+      for (std::size_t chunk_samples : {1u, 7u, 100u, 4096u}) {
+        expect_matches_reference(make_capture(n, n, hz), chunk_samples);
+      }
+    }
+  }
+}
+
+TEST(EncoderDifferential, SpecialValuesAtEveryBoundary) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> finite{
+      -1.5f, -0.0f, 0.0f, denormal, -denormal,
+      std::numeric_limits<float>::min() / 4, std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::lowest(), -300.25f};
+  // One family per kind of non-finite sample. Within a family every chunk
+  // and bucket sum meets at most one NaN bit pattern: a sum that meets two
+  // different NaNs keeps whichever one the compiler's operand order puts
+  // first, which is a property of the build, not of either encoder. (+inf
+  // meeting -inf yields the CPU's default NaN, so the NaN families carry
+  // no infinities.)
+  std::vector<std::vector<float>> families;
+  families.push_back(finite);
+  for (float extra : {inf, -inf}) families.back().push_back(extra);
+  for (float extra : {nan, -nan, std::bit_cast<float>(0x7F800001u)}) {
+    families.push_back(finite);
+    families.back().push_back(extra);
+  }
+  for (const std::vector<float>& specials : families) {
+    // Specials dense everywhere, and specials only where chunks and buckets
+    // start (where min/max are seeded) with the walk in between.
+    std::vector<float> dense(10007);
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      dense[i] = specials[(i * 7919) % specials.size()];
+    }
+    std::vector<float> seeded = walk_samples(5, 10007);
+    for (std::size_t i = 0; i < seeded.size(); ++i) {
+      if (i % 100 == 0 || i % 4096 == 0 || i % 7 == 0) {
+        seeded[i] = specials[(i / 7) % specials.size()];
+      }
+    }
+    for (const auto* samples : {&dense, &seeded}) {
+      const Capture capture{TimePoint::from_micros(-12345), 5000.0, -3.7,
+                            *samples};
+      for (std::size_t chunk_samples : {1u, 7u, 100u, 4096u, 5000u}) {
+        expect_matches_reference(capture, chunk_samples);
+      }
+    }
+  }
+}
+
+TEST(EncoderDifferential, MappedImagesCopyAndShrink) {
+  // 400k samples: the worst-case buffer and the image both pass 1 MiB, so
+  // the image lives in its own mapping; copies and drop_raw must keep the
+  // bytes and leave the source untouched.
+  const Capture capture = make_capture(14, 400000);
+  expect_matches_reference(capture, ChunkedCapture::kDefaultChunkSamples);
+  const ChunkedCapture original = ChunkedCapture::encode(capture);
+  const std::string raw = encode_reference(
+      capture, ChunkedCapture::kDefaultChunkSamples);
+  ASSERT_GT(raw.size(), std::size_t{1} << 20);
+  ChunkedCapture copy = original;
+  EXPECT_EQ(first_difference(copy.serialize(), raw), std::string::npos);
+  copy.drop_raw();
+  EXPECT_EQ(first_difference(original.serialize(), raw), std::string::npos);
+  EXPECT_EQ(first_difference(copy.serialize(),
+                             encode_reference(
+                                 capture, ChunkedCapture::kDefaultChunkSamples,
+                                 /*drop_raw=*/true)),
+            std::string::npos);
+  copy = original;
+  auto decoded = copy.decode();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().samples_ma(), capture.samples_ma());
+}
+
+TEST(EncoderDifferential, FiveByteVarints) {
+  // Bit patterns 0 and 0xFFFFFFFF alternate: every delta is ±(2^32 - 1),
+  // whose zigzag needs 34 bits, so every sample after a chunk's first takes
+  // the codec's worst case of five bytes.
+  std::vector<float> samples(9001);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = std::bit_cast<float>(i % 2 == 0 ? 0u : 0xFFFFFFFFu);
+  }
+  EXPECT_EQ(blab::store::encode_samples(samples.data(), samples.size()).size(),
+            1 + (samples.size() - 1) * blab::store::kMaxSampleBytes);
+  const Capture capture{TimePoint::epoch(), 5000.0, 3.85, samples};
+  for (std::size_t chunk_samples : {1u, 7u, 100u, 4096u, 5000u}) {
+    expect_matches_reference(capture, chunk_samples);
+  }
 }
 
 // ----------------------------------------------- adversarial codec input ----
@@ -294,7 +458,7 @@ TEST(Codec, DecodeSamplesRejectsHostileCounts) {
 
 TEST(ChunkedCapture, DeserializeRejectsNonCanonicalHeaderFields) {
   const auto cc = ChunkedCapture::encode(make_capture(11, 300));
-  const std::string good = cc.serialize();
+  const std::string good{cc.serialize()};
 
   // Accepted bytes must re-serialize identically (the fuzz invariant).
   const auto back = ChunkedCapture::deserialize(good);
@@ -334,6 +498,25 @@ TEST(TraceIo, ChunkedAdaptersRoundTrip) {
   EXPECT_DOUBLE_EQ(reloaded.value().sample_hz(), original.sample_hz());
   EXPECT_DOUBLE_EQ(reloaded.value().voltage(), original.voltage());
   EXPECT_EQ(reloaded.value().start(), original.start());
+}
+
+TEST(TraceIo, FileWritersReportFailedWrites) {
+  // Every write to /dev/full fails with ENOSPC. A large capture fails while
+  // it is written, a small one only when the close flushes the buffer.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full does not exist on this system";
+  }
+  for (std::size_t n : {200000u, 10u}) {
+    SCOPED_TRACE(::testing::Message() << n << " samples");
+    const Capture capture = make_capture(13, n);
+    const auto csv = blab::analysis::write_capture_csv(capture, "/dev/full");
+    ASSERT_FALSE(csv.ok());
+    EXPECT_EQ(csv.error().code, ErrorCode::kUnavailable);
+    const auto chunked =
+        blab::analysis::write_capture_chunked(capture, "/dev/full");
+    ASSERT_FALSE(chunked.ok());
+    EXPECT_EQ(chunked.error().code, ErrorCode::kUnavailable);
+  }
 }
 
 // ------------------------------------------------------------------------
