@@ -1,4 +1,4 @@
-// Persistent capture store bench: WAL append throughput, cold-query
+// Persistent capture store bench: append throughput, cold-query
 // throughput after a restart, and crash-recovery speed (open() over a
 // populated directory).
 //
@@ -68,7 +68,7 @@ int main() {
   }
   const auto total_samples = static_cast<double>(kSamples * kCaptures);
 
-  // -- archive-through append (WAL journal + fflush per capture) ----------
+  // -- archive-through append (one segment + manifest per capture) --------
   // One cold run populates the directory used by the recovery and cold-query
   // sections below; the rate is best-of-kRounds over fresh directories.
   double append_s = 1e9;
@@ -89,8 +89,8 @@ int main() {
     }
     append_s = std::min(append_s, seconds_since(t0));
     if (r == 0) {
-      // Half the records fold into segments, half stay in the WAL, so
-      // recovery exercises both paths.
+      // A second batch after a checkpoint, so the directory recovery opens
+      // holds twice the records.
       if (auto ck = engine.checkpoint(); !ck.ok()) {
         throw std::runtime_error{"checkpoint failed: " + ck.str()};
       }
@@ -107,7 +107,7 @@ int main() {
     }
   }
 
-  // -- crash recovery: open() over segments + WAL replay ------------------
+  // -- crash recovery: open() over the manifest's segments ----------------
   double recovery_s = 1e9;
   std::uint64_t recovered = 0;
   for (int r = 0; r < kRounds; ++r) {

@@ -2,26 +2,31 @@
 //
 // Most seeds under tests/fuzz_corpus/ are tiny hand-written byte strings
 // (bad magics, overlong varints, truncated escapes) that never go stale.
-// The exceptions are the seeds that embed *real* encoded captures — WAL and
-// segment images whose payloads are serialized ChunkedCaptures, and codec
-// seeds carrying canonical sample streams. Those samples come from the
-// repo's own noise sampler, so a deliberate sampler change (e.g. the
-// Box-Muller -> ziggurat switch) leaves the checked-in bytes encoding draws
-// the current Rng can no longer produce. The replay lane still passes —
-// the parsers don't care where the floats came from — but the corpus slowly
-// drifts away from the byte patterns the live system actually writes, which
-// is exactly the distribution fuzz coverage should anchor on.
+// The exceptions are the seeds that are images of the persist formats
+// (WAL, segment, manifest), which a format change rewrites, and the seeds
+// that embed *real* encoded captures — segment images whose payloads are
+// serialized ChunkedCaptures, and codec seeds carrying canonical sample
+// streams. Those samples come from the repo's own noise sampler, so a
+// deliberate sampler change (e.g. the Box-Muller -> ziggurat switch)
+// leaves the checked-in bytes encoding draws the current Rng can no longer
+// produce. The replay lane still passes — the parsers don't care where the
+// floats came from — but the corpus slowly drifts away from the byte
+// patterns the live system actually writes, which is exactly the
+// distribution fuzz coverage should anchor on.
 //
-// This tool rebuilds those seeds from the current sampler, deterministically
-// (fixed Rng seed, fixed timestamps), so regeneration is a reviewable
-// one-commit diff:
+// This tool rebuilds those seeds from the current sampler and formats,
+// deterministically (fixed Rng seed, fixed timestamps), so regeneration is
+// a reviewable one-commit diff:
 //
 //   build/fuzz/make_seed_corpus [corpus_root]   # default tests/fuzz_corpus
+//
+// The fuzz_seed_corpus_current ctest regenerates them into a scratch
+// directory and fails when any differs from the checked-in corpus.
 //
 // Regenerated seeds (everything else is left untouched):
 //   store_codec_fuzz/roundtrip_seed   mode 0: canonical encoded stream
 //   store_codec_fuzz/flip_seed        mode 3: capture + one-byte corruption
-//   persist_fuzz/wal_valid            mode 0: committed WAL image
+//   persist_fuzz/wal_valid            mode 0: committed WAL of notes
 //   persist_fuzz/wal_torn_tail        mode 0: same image, torn final frame
 //   persist_fuzz/segment_valid        mode 2: raw-tier segment image
 //   persist_fuzz/segment_summary      mode 2: summary-tier segment image
@@ -126,38 +131,20 @@ int main(int argc, char** argv) {
     ok &= write_file(root + "/store_codec_fuzz/flip_seed", seed);
   }
 
-  // persist_fuzz WAL seeds — a committed journal: two appends with real
-  // capture payloads, a raw purge, an erase. wal_valid replays all four;
-  // wal_torn_tail cuts into the final frame, so replay must keep the exact
-  // three-record prefix and report the tail as dropped.
+  // persist_fuzz WAL seeds — a committed journal of notes: raw purges and
+  // erases. wal_valid replays all four; wal_torn_tail cuts into the final
+  // frame, so replay must keep the exact three-note prefix and report the
+  // tail as dropped.
   {
     std::string image;
-    persist::WalRecord append1;
-    append1.op = persist::WalOp::kAppend;
-    append1.id = {"vp-oslo", 3};
-    append1.name = "SM-G960F";
-    append1.stored_at = TimePoint::from_micros(1500000);
-    append1.capture = make_capture_bytes(rng, 64, 16, false);
-    persist::append_wal_record(image, append1);
-
-    persist::WalRecord append2;
-    append2.op = persist::WalOp::kAppend;
-    append2.id = {"vp-turin", 4};
-    append2.name = "J7DUO";
-    append2.stored_at = TimePoint::from_micros(2750000);
-    append2.capture = make_capture_bytes(rng, 48, 16, true);
-    persist::append_wal_record(image, append2);
-
-    persist::WalRecord drop;
-    drop.op = persist::WalOp::kDropRaw;
-    drop.id = {"vp-oslo", 3};
-    persist::append_wal_record(image, drop);
-
-    persist::WalRecord erase;
-    erase.op = persist::WalOp::kErase;
-    erase.id = {"vp-turin", 4};
-    persist::append_wal_record(image, erase);
-
+    persist::append_wal_record(image, {persist::WalOp::kDropRaw,
+                                       {"vp-oslo", 3}});
+    persist::append_wal_record(image, {persist::WalOp::kDropRaw,
+                                       {"vp-turin", 4}});
+    persist::append_wal_record(image, {persist::WalOp::kErase,
+                                       {"vp-oslo", 3}});
+    persist::append_wal_record(image, {persist::WalOp::kErase,
+                                       {"vp-turin", 4}});
     ok &= write_file(root + "/persist_fuzz/wal_valid",
                      std::string{"\x00", 1} + image);
     ok &= write_file(root + "/persist_fuzz/wal_torn_tail",

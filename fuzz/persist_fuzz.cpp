@@ -1,21 +1,22 @@
-// Fuzz target: the persistent capture store's wire formats — WAL framing,
-// segment index/trailer parsing, and the versioned manifest.
+// Fuzz target: the persistent capture store's wire formats — WAL note
+// framing, segment index/trailer parsing, and the versioned manifest.
 //
 // Modes (first input byte):
 //   0: arbitrary bytes through parse_wal; the replay must account for every
-//      byte (clean + dropped == size) and re-encoding the recovered records
+//      byte (clean + dropped == size) and re-encoding the recovered notes
 //      must reproduce the committed prefix byte-identically. The same bytes
 //      also check the crc32c() implementation selected for this CPU against
-//      the table reference, whole, chained across a split, and combined
-//      across it with crc32c_combine;
-//   1: structured WAL — build records from the input, then truncate or
+//      the table reference, whole and chained across a split;
+//   1: structured WAL — build notes from the input, then truncate or
 //      byte-flip the image; recovery must yield an exact prefix of the
-//      originals, never a record that was not written;
+//      originals, never a note that was not written;
 //   2: arbitrary bytes through parse_segment_index; accepted images must
 //      have a dense, in-bounds index, per-entry CRCs must police every
 //      payload slice, and when all payloads checksum, rebuilding from the
 //      parsed entries must be byte-identical. Also a structured
-//      build/parse round-trip;
+//      build/parse round-trip, in which the image must equal its header,
+//      payloads and separately built footer back to back (the engine
+//      writes segments that way);
 //   3: arbitrary bytes through parse_manifest; accepted manifests must
 //      re-encode byte-identically (canonical format). Also a structured
 //      round-trip with a corruption pass.
@@ -35,19 +36,9 @@ using blab::util::TimePoint;
 
 persist::WalRecord make_record(blab::fuzz::FuzzInput& in) {
   persist::WalRecord record;
-  switch (in.u8() % 3) {
-    case 0: record.op = persist::WalOp::kAppend; break;
-    case 1: record.op = persist::WalOp::kDropRaw; break;
-    case 2: record.op = persist::WalOp::kErase; break;
-  }
+  record.op = (in.u8() & 1) ? persist::WalOp::kErase : persist::WalOp::kDropRaw;
   record.id.workspace = "ws-" + std::to_string(in.u8() % 8);
   record.id.seq = in.u16();
-  if (record.op == persist::WalOp::kAppend) {
-    record.name = in.bytes(in.u8() % 24);
-    record.stored_at = TimePoint::from_micros(
-        static_cast<std::int64_t>(in.u32()));
-    record.capture = in.bytes(in.u8());  // arbitrary payload bytes are fine
-  }
   return record;
 }
 
@@ -66,8 +57,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       // prefix encodes.
       std::string reencoded;
       for (const persist::WalRecord& r : replay.records) {
-        FUZZ_ASSERT(r.capture_offset + r.capture.size() <=
-                    replay.clean_bytes);
         persist::append_wal_record(reencoded, r);
       }
       FUZZ_ASSERT(reencoded == bytes.substr(0, replay.clean_bytes));
@@ -81,10 +70,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       FUZZ_ASSERT(persist::crc32c(view.substr(split),
                                   persist::crc32c(view.substr(0, split))) ==
                   reference);
-      FUZZ_ASSERT(persist::crc32c_combine(
-                      persist::crc32c(view.substr(0, split)),
-                      persist::crc32c(view.substr(split)),
-                      view.size() - split) == reference);
       break;
     }
     case 1: {
@@ -165,6 +150,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         FUZZ_ASSERT(parsed.ok());
         FUZZ_ASSERT(parsed.value().tier == tier);
         FUZZ_ASSERT(parsed.value().entries.size() == records.size());
+        std::string parts = persist::segment_header(tier);
         for (std::size_t i = 0; i < records.size(); ++i) {
           const persist::SegmentEntry& e = parsed.value().entries[i];
           FUZZ_ASSERT(e.id == records[i].id);
@@ -173,7 +159,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           const auto payload = persist::segment_capture_bytes(image, e);
           FUZZ_ASSERT(payload.ok());
           FUZZ_ASSERT(payload.value() == records[i].capture);
+          parts += records[i].capture;
         }
+        const std::uint64_t index_offset = parts.size();
+        const std::string footer =
+            persist::segment_footer(parsed.value().entries, index_offset);
+        FUZZ_ASSERT(parts + footer == image);
+        const auto entries = persist::parse_segment_footer(footer, index_offset);
+        FUZZ_ASSERT(entries.ok());
+        FUZZ_ASSERT(entries.value().size() == records.size());
       }
       // One flipped byte: the parse must fail or the per-entry CRCs must
       // still police every payload slice — never silently wrong bytes.

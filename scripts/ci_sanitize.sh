@@ -23,7 +23,7 @@ cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target blab_dst store_test persist_test failure_test obs_test \
            health_test store_throughput rest_backend_fuzz trace_io_fuzz \
-           store_codec_fuzz novnc_fuzz persist_fuzz
+           store_codec_fuzz novnc_fuzz persist_fuzz make_seed_corpus
 ctest --test-dir "$BUILD_DIR" -L 'dst|store|obs|fuzz' --output-on-failure
 # failure_test carries no ctest label, so the lane above skips it; run it
 # directly.

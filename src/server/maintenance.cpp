@@ -126,7 +126,7 @@ Job make_persist_checkpoint_job(AccessServer& server) {
       return st;
     }
     ctx.workspace->log(
-        "checkpoint folded WALs into " +
+        "checkpoint compacted into " +
         std::to_string(engine->stats().segment_flushes - flushes_before) +
         " segment(s); " + std::to_string(engine->size()) +
         " record(s) on disk");

@@ -32,9 +32,9 @@ Job make_factory_reset_job();
 Job make_capture_retention_job(AccessServer& server);
 
 /// Scheduled PersistEngine checkpoint (cause=scheduled): fold every shard's
-/// WAL into segments on a sim-time cadence instead of waiting for byte
-/// pressure. Consults the health engine when enabled — an unhealthy fleet
-/// defers the fold to the next cadence tick.
+/// WAL notes into its segments on a sim-time cadence. Consults the health
+/// engine when enabled — an unhealthy fleet defers the fold to the next
+/// cadence tick.
 Job make_persist_checkpoint_job(AccessServer& server);
 
 /// Evaluate every SLO against the live metrics registry at the current sim

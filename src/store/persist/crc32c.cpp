@@ -29,37 +29,6 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 
 constexpr std::array<std::uint32_t, 256> kTable = make_table();
 
-// GF(2) polynomial arithmetic modulo the Castagnoli polynomial, in the
-// reflected bit order the CRC uses (bit 31 is x^0). This is zlib's
-// crc32_combine technique.
-
-/// a(x)·b(x) modulo P(x).
-constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t product = 0;
-  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
-    if ((a & m) != 0) {
-      product ^= b;
-      if ((a & (m - 1)) == 0) break;
-    }
-    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
-  }
-  return product;
-}
-
-/// kByteShift[k] = x^(8·2^k) modulo P(x): appending 2^k bytes to a
-/// message multiplies its CRC register by this.
-constexpr std::array<std::uint32_t, 64> make_byte_shift_table() {
-  std::array<std::uint32_t, 64> table{};
-  std::uint32_t p = 1u << 23;  // x^8
-  for (std::uint32_t& entry : table) {
-    entry = p;
-    p = multmodp(p, p);
-  }
-  return table;
-}
-
-constexpr std::array<std::uint32_t, 64> kByteShift = make_byte_shift_table();
-
 #if defined(__x86_64__)
 // Only this function is compiled for SSE4.2, so the build needs no global
 // -msse4.2 and runs on any x86-64; crc32c_selected() picks it only on CPUs
@@ -112,16 +81,6 @@ Crc32cFn crc32c_selected() {
 
 std::uint32_t crc32c(std::string_view data, std::uint32_t crc) {
   return detail::crc32c_selected()(data, crc);
-}
-
-std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                             std::uint64_t len_b) {
-  // x^(8·len_b), one table factor per set bit of len_b.
-  std::uint32_t shift = 1u << 31;  // x^0
-  for (std::size_t k = 0; len_b != 0; len_b >>= 1, ++k) {
-    if ((len_b & 1u) != 0) shift = multmodp(kByteShift[k], shift);
-  }
-  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace blab::store::persist

@@ -21,26 +21,9 @@ util::Error io_error(const std::string& what) {
 }
 
 /// A capture's bytes no longer match the CRC its index entry recorded.
-/// `segment` is the entry's file; empty means the shard WAL.
 util::Error checksum_mismatch(const CaptureId& id, const std::string& segment) {
   return io_error("checksum mismatch reading " + id.str() + " from " +
-                  (segment.empty() ? std::string{"wal.log"} : segment));
-}
-
-util::Result<std::string> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return io_error("cannot open " + path);
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-    out.append(buf, n);
-    if (n < sizeof buf) break;
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return io_error("read failed for " + path);
-  return out;
+                  segment);
 }
 
 util::Result<std::string> read_file_slice(const std::string& path,
@@ -59,21 +42,37 @@ util::Result<std::string> read_file_slice(const std::string& path,
   return out;
 }
 
+/// The whole file, read into a buffer sized once from the file's size.
+util::Result<std::string> read_file(const std::string& path) {
+  std::error_code ec;
+  const auto size = fs::file_size(path, ec);
+  if (ec) return io_error("cannot open " + path);
+  return read_file_slice(path, 0, size);
+}
+
 /// Temp-write + rename, so a crash never leaves a half-written file under
-/// the final name (the manifest swap protocol relies on this).
+/// the final name (the manifest swap protocol relies on this). The file is
+/// `parts` back to back, each written where it already is. A failed write
+/// removes its temp file; one a crash leaves behind is collected by open().
 util::Status write_file_atomic(const std::string& path,
-                               std::string_view bytes) {
+                               const std::vector<std::string_view>& parts) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return io_error("cannot create " + tmp);
-  bool bad = bytes.size() > 0 &&
-             std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size();
+  bool bad = false;
+  for (const std::string_view part : parts) {
+    bad = bad || (!part.empty() &&
+                  std::fwrite(part.data(), 1, part.size(), f) != part.size());
+  }
   bad = (std::fflush(f) != 0) || bad;
   bad = (std::fclose(f) != 0) || bad;
-  if (bad) return io_error("write failed for " + tmp);
   std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return io_error("rename failed for " + path);
+  if (!bad) fs::rename(tmp, path, ec);
+  if (bad || ec) {
+    fs::remove(tmp, ec);
+    return io_error(bad ? "write failed for " + tmp
+                        : "rename failed for " + path);
+  }
   return util::Status::ok_status();
 }
 
@@ -119,7 +118,6 @@ std::optional<std::uint64_t> segment_number_of(std::string_view name) {
 PersistEngine::PersistEngine(std::string dir, PersistOptions options)
     : dir_{std::move(dir)}, options_{options} {
   if (options_.shards == 0) options_.shards = 1;
-  if (options_.ring_points == 0) options_.ring_points = 1;
 }
 
 PersistEngine::~PersistEngine() {
@@ -190,45 +188,19 @@ std::string PersistEngine::wal_path(const Shard& shard) const {
   return shard_path(shard) + "/wal.log";
 }
 
-namespace {
-
-/// fnv1a alone clusters similar keys ("vp-1"/"vp-2" differ only in trailing
-/// bytes, which one FNV multiply cannot push into the high bits a 64-bit
-/// ring compare is dominated by), so ring placement finalizes it with a
-/// full-avalanche mix (Murmur3 fmix64 constants).
-std::uint64_t ring_hash(std::string_view key) {
-  std::uint64_t x = util::fnv1a(key);
+std::size_t PersistEngine::shard_of(std::string_view workspace) const {
+  if (shards_.empty()) return 0;
+  // fnv1a alone clusters similar keys: its low bits, which the modulo
+  // keeps, depend only on the low bits of each byte, so "vp-1" and "vp-5"
+  // would always share a shard. A full-avalanche finalizer (Murmur3 fmix64
+  // constants) mixes every bit into them.
+  std::uint64_t x = util::fnv1a(workspace);
   x ^= x >> 33;
   x *= 0xFF51AFD7ED558CCDULL;
   x ^= x >> 33;
   x *= 0xC4CEB9FE1A85EC53ULL;
   x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
-
-void PersistEngine::build_ring() {
-  ring_.clear();
-  ring_.reserve(shards_.size() * options_.ring_points);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::size_t v = 0; v < options_.ring_points; ++v) {
-      const std::string label =
-          shards_[s].name + "#" + std::to_string(v);
-      ring_.emplace_back(ring_hash(label), s);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-}
-
-std::size_t PersistEngine::shard_of(std::string_view workspace) const {
-  if (ring_.empty()) return 0;
-  const std::uint64_t h = ring_hash(workspace);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), h,
-      [](const auto& point, std::uint64_t key) { return point.first < key; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
-  return it->second;
+  return static_cast<std::size_t>(x % shards_.size());
 }
 
 util::Status PersistEngine::open() {
@@ -253,7 +225,6 @@ util::Status PersistEngine::open() {
       return io_error("cannot create " + shard_path(shards_[i]));
     }
   }
-  build_ring();
   next_seq_ = std::max<std::uint64_t>(1, manifest.next_seq);
   manifest_version_ = manifest.version;
 
@@ -265,13 +236,14 @@ util::Status PersistEngine::open() {
     if (auto st = recover_shard(i, listed); !st.ok()) return st;
   }
 
-  // Garbage-collect: segment files a crashed checkpoint wrote but never
-  // installed, and manifests other than the chosen one and its predecessor.
+  // Garbage-collect: temp files of interrupted writes, segment files a
+  // crash left unlisted (an append or checkpoint that never installed its
+  // manifest), and manifests other than the chosen one and its predecessor.
   for (Shard& shard : shards_) {
     for (const auto& entry : fs::directory_iterator(shard_path(shard), ec)) {
       const std::string name = entry.path().filename().string();
-      if (segment_number_of(name).has_value() &&
-          !shard.segments.contains(name)) {
+      if (name.ends_with(".tmp") || (segment_number_of(name).has_value() &&
+                                     !shard.segments.contains(name))) {
         fs::remove(entry.path(), ec);
       }
     }
@@ -279,8 +251,9 @@ util::Status PersistEngine::open() {
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     const auto version = manifest_version_of(name);
-    if (version.has_value() &&
-        (*version > manifest_version_ || *version + 1 < manifest_version_)) {
+    if (name.ends_with(".tmp") ||
+        (version.has_value() && (*version > manifest_version_ ||
+                                 *version + 1 < manifest_version_))) {
       fs::remove(entry.path(), ec);
     }
   }
@@ -338,8 +311,7 @@ util::Status PersistEngine::recover_shard(
                       ? parse_segment_index(bytes.value())
                       : util::Result<SegmentIndex>{bytes.error()};
     if (!parsed.ok()) {
-      // A corrupt segment is dropped whole; any of its records still in the
-      // WAL are recovered below, the rest are cleanly lost.
+      // A corrupt segment is dropped whole; its records are cleanly lost.
       BLAB_WARN("persist", "dropping segment " << path << ": "
                                                << parsed.error().str());
       ++stats_.segments_dropped;
@@ -349,7 +321,6 @@ util::Status PersistEngine::recover_shard(
     }
     SegmentMeta meta;
     meta.tier = parsed.value().tier;
-    meta.entry_count = parsed.value().entries.size();
     for (SegmentEntry& e : parsed.value().entries) {
       next_seq_ = std::max(next_seq_, e.id.seq + 1);
       if (index_.contains(e.id)) {
@@ -366,14 +337,13 @@ util::Status PersistEngine::recover_shard(
       entry.length = e.length;
       entry.crc = e.crc;
       index_.emplace(std::move(e.id), std::move(entry));
-      ++meta.live_count;
     }
     shard.segments.emplace(seg.file, meta);
   }
 
-  // WAL replay on top of the segments. Idempotent: a crash after manifest
-  // install but before WAL truncation replays records that are already in
-  // segments — appends of known ids and redundant notes are no-ops.
+  // Note replay on top of the segments. Idempotent: a crash after manifest
+  // install but before WAL truncation replays notes the segments already
+  // reflect, and those are no-ops.
   const std::string path = wal_path(shard);
   std::error_code ec;
   if (!fs::exists(path, ec)) return util::Status::ok_status();
@@ -388,55 +358,14 @@ util::Status PersistEngine::recover_shard(
     fs::resize_file(path, replay.clean_bytes, ec);
     if (ec) return io_error("cannot truncate torn tail of " + path);
   }
-  for (WalRecord& record : replay.records) {
-    next_seq_ = std::max(next_seq_, record.id.seq + 1);
-    switch (record.op) {
-      case WalOp::kAppend: {
-        if (index_.contains(record.id)) break;
-        auto cc = ChunkedCapture::deserialize(record.capture);
-        if (!cc.ok()) {
-          BLAB_WARN("persist", "skipping unreadable WAL record "
-                                   << record.id.str() << ": "
-                                   << cc.error().str());
-          break;
-        }
-        Entry entry;
-        entry.name = std::move(record.name);
-        entry.stored_at = record.stored_at;
-        entry.raw_dropped = !cc.value().raw_available();
-        entry.shard = shard_index;
-        entry.offset = record.capture_offset;
-        entry.length = record.capture.size();
-        entry.crc = crc32c(record.capture);
-        index_.emplace(std::move(record.id), std::move(entry));
-        break;
-      }
-      case WalOp::kDropRaw: {
-        const auto it = index_.find(record.id);
-        if (it == index_.end() || it->second.raw_dropped) break;
-        it->second.raw_dropped = true;
-        if (!it->second.segment.empty()) {
-          const auto seg = shard.segments.find(it->second.segment);
-          if (seg != shard.segments.end() && seg->second.tier == kTierRaw) {
-            seg->second.dirty = true;
-          }
-        }
-        break;
-      }
-      case WalOp::kErase: {
-        const auto it = index_.find(record.id);
-        if (it == index_.end()) break;
-        if (!it->second.segment.empty()) {
-          const auto seg = shard.segments.find(it->second.segment);
-          if (seg != shard.segments.end()) {
-            seg->second.dirty = true;
-            if (seg->second.live_count > 0) --seg->second.live_count;
-          }
-        }
-        index_.erase(it);
-        break;
-      }
+  for (const WalRecord& note : replay.records) {
+    next_seq_ = std::max(next_seq_, note.id.seq + 1);
+    const auto it = index_.find(note.id);
+    if (it == index_.end() ||
+        (note.op == WalOp::kDropRaw && it->second.raw_dropped)) {
+      continue;
     }
+    apply_note(note.op, it);
   }
   shard.wal_size = replay.clean_bytes;
   return util::Status::ok_status();
@@ -453,29 +382,55 @@ util::Status PersistEngine::ensure_wal(Shard& shard) {
   return util::Status::ok_status();
 }
 
-util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& record,
-                                      std::string_view capture,
-                                      std::uint32_t capture_crc) {
+util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& note) {
   if (auto st = ensure_wal(shard); !st.ok()) return st;
-  // The frame head, then the capture bytes where they already are: the
-  // frame is never assembled in memory.
-  const std::string head =
-      wal_frame_head(record, capture.size(), capture_crc);
-  const auto write = [&](std::string_view bytes) {
-    return bytes.empty() ||
-           std::fwrite(bytes.data(), 1, bytes.size(), shard.wal) ==
-               bytes.size();
-  };
-  if (!write(head) || !write(capture) || std::fflush(shard.wal) != 0) {
+  std::string frame;
+  append_wal_record(frame, note);
+  if (std::fwrite(frame.data(), 1, frame.size(), shard.wal) != frame.size() ||
+      std::fflush(shard.wal) != 0) {
     return io_error("WAL append failed in " + shard.name);
   }
-  const std::uint64_t frame = head.size() + capture.size();
-  shard.wal_size += frame;
+  shard.wal_size += frame.size();
   ++stats_.wal_appends;
-  stats_.wal_bytes += frame;
+  stats_.wal_bytes += frame.size();
   bump(metrics_.wal_appends);
-  bump(metrics_.wal_bytes, frame);
+  bump(metrics_.wal_bytes, frame.size());
   return util::Status::ok_status();
+}
+
+util::Result<std::string> PersistEngine::write_segment(
+    Shard& shard, std::uint8_t tier, std::vector<SegmentEntry>& entries,
+    const std::vector<std::string_view>& captures) {
+  const std::string file = std::string("seg-") +
+                           (tier == kTierRaw ? "r" : "s") + "-" +
+                           std::to_string(shard.next_segment++) + ".blsg";
+  const std::string header = segment_header(tier);
+  std::vector<std::string_view> parts;
+  parts.reserve(captures.size() + 2);
+  parts.push_back(header);
+  std::uint64_t offset = header.size();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].offset = offset;
+    entries[i].length = captures[i].size();
+    offset += captures[i].size();
+    parts.push_back(captures[i]);
+  }
+  const std::string footer = segment_footer(entries, offset);
+  // Write-time self check: the index must parse back and tile the payload.
+  if (auto parsed = parse_segment_footer(footer, offset); !parsed.ok()) {
+    return parsed.error();
+  }
+  parts.push_back(footer);
+  if (auto st = write_file_atomic(shard_path(shard) + "/" + file, parts);
+      !st.ok()) {
+    return st.error();
+  }
+  const std::uint64_t bytes = offset + footer.size();
+  ++stats_.segment_flushes;
+  stats_.segment_bytes += bytes;
+  bump(metrics_.segment_flushes);
+  bump(metrics_.segment_bytes, bytes);
+  return file;
 }
 
 util::Status PersistEngine::append(const CaptureId& id,
@@ -488,129 +443,94 @@ util::Status PersistEngine::append(const CaptureId& id,
   }
   const std::size_t shard_index = shard_of(id.workspace);
   Shard& shard = shards_[shard_index];
-  WalRecord record;
-  record.op = WalOp::kAppend;
-  record.id = id;
-  record.name = name;
-  record.stored_at = stored_at;
-  // The capture's image is journaled in place and checksummed once; the
-  // frame CRC is combined from this one.
+  // The capture's image is written where it is and checksummed once; that
+  // CRC is its index entry's.
   const std::string_view image = cc.serialize();
-  const std::uint32_t crc = crc32c(image);
-  if (auto st = wal_write(shard, record, image, crc); !st.ok()) return st;
+  const std::uint8_t tier = cc.raw_available() ? kTierRaw : kTierSummary;
+  std::vector<SegmentEntry> entries{
+      {id, name, stored_at, 0, 0, crc32c(image)}};
+  auto file = write_segment(shard, tier, entries, {image});
+  if (!file.ok()) return file.error();
 
+  // The next manifest commits the append. Should it fail, the unlisted
+  // segment file is left for open()'s garbage collection.
+  shard.segments.emplace(file.value(), SegmentMeta{tier});
+  const std::uint64_t next_seq = next_seq_;
+  next_seq_ = std::max(next_seq_, id.seq + 1);
+  if (auto st = install_manifest(); !st.ok()) {
+    shard.segments.erase(file.value());
+    next_seq_ = next_seq;
+    return st;
+  }
   Entry entry;
   entry.name = name;
   entry.stored_at = stored_at;
-  entry.raw_dropped = !cc.raw_available();
+  entry.raw_dropped = tier == kTierSummary;
   entry.shard = shard_index;
-  // The capture bytes are the frame's final field.
-  entry.offset = shard.wal_size - image.size();
-  entry.length = image.size();
-  entry.crc = crc;
+  entry.segment = std::move(file).take();
+  entry.offset = entries[0].offset;
+  entry.length = entries[0].length;
+  entry.crc = entries[0].crc;
   index_[id] = std::move(entry);
-  next_seq_ = std::max(next_seq_, id.seq + 1);
   sync_gauges();
-  if (shard.wal_size > options_.wal_checkpoint_bytes) {
-    return checkpoint(CheckpointCause::kBytes);
-  }
   return util::Status::ok_status();
+}
+
+util::Status PersistEngine::note(WalOp op, const CaptureId& id) {
+  if (!opened_) {
+    return util::make_error(util::ErrorCode::kFailedPrecondition,
+                            "persist engine not opened");
+  }
+  const auto it = index_.find(id);
+  if (it == index_.end() ||
+      (op == WalOp::kDropRaw && it->second.raw_dropped)) {
+    return util::Status::ok_status();
+  }
+  if (auto st = wal_write(shards_[it->second.shard], WalRecord{op, id});
+      !st.ok()) {
+    return st;
+  }
+  apply_note(op, it);
+  sync_gauges();
+  return util::Status::ok_status();
+}
+
+void PersistEngine::apply_note(WalOp op,
+                               std::map<CaptureId, Entry>::iterator it) {
+  auto& segments = shards_[it->second.shard].segments;
+  if (const auto seg = segments.find(it->second.segment);
+      seg != segments.end()) {
+    seg->second.dirty = true;
+  }
+  if (op == WalOp::kDropRaw) {
+    it->second.raw_dropped = true;
+  } else {
+    index_.erase(it);
+  }
 }
 
 util::Status PersistEngine::note_drop_raw(const CaptureId& id) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
-  }
-  const auto it = index_.find(id);
-  if (it == index_.end() || it->second.raw_dropped) {
-    return util::Status::ok_status();
-  }
-  WalRecord record;
-  record.op = WalOp::kDropRaw;
-  record.id = id;
-  Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record, {}, 0); !st.ok()) return st;
-  it->second.raw_dropped = true;
-  if (!it->second.segment.empty()) {
-    const auto seg = shard.segments.find(it->second.segment);
-    if (seg != shard.segments.end() && seg->second.tier == kTierRaw) {
-      seg->second.dirty = true;
-    }
-  }
-  return util::Status::ok_status();
+  return note(WalOp::kDropRaw, id);
 }
 
 util::Status PersistEngine::note_erase(const CaptureId& id) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
-  }
-  const auto it = index_.find(id);
-  if (it == index_.end()) return util::Status::ok_status();
-  WalRecord record;
-  record.op = WalOp::kErase;
-  record.id = id;
-  Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record, {}, 0); !st.ok()) return st;
-  if (!it->second.segment.empty()) {
-    const auto seg = shard.segments.find(it->second.segment);
-    if (seg != shard.segments.end()) {
-      seg->second.dirty = true;
-      if (seg->second.live_count > 0) --seg->second.live_count;
-    }
-  }
-  index_.erase(it);
-  sync_gauges();
-  return util::Status::ok_status();
+  return note(WalOp::kErase, id);
 }
 
-util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
+util::Status PersistEngine::checkpoint_shard(
+    std::size_t shard_index, std::vector<std::string>& replaced) {
   Shard& shard = shards_[shard_index];
 
-  // Gather everything the new segments must hold, by destination tier.
-  std::vector<SegmentRecord> raw_records;
-  std::vector<SegmentRecord> summary_records;
-  const auto add_record = [&](const CaptureId& id, const Entry& entry,
-                              std::string bytes) -> util::Status {
-    SegmentRecord record;
-    record.id = id;
-    record.name = entry.name;
-    record.stored_at = entry.stored_at;
-    if (entry.raw_dropped) {
-      // Segment demotion, from the raw stream into the summary stream.
-      auto demoted = ChunkedCapture::summary_image(bytes);
-      if (!demoted.ok()) return demoted.error();
-      record.capture = std::move(demoted).take();
-      summary_records.push_back(std::move(record));
-    } else {
-      record.capture = std::move(bytes);
-      raw_records.push_back(std::move(record));
-    }
-    return util::Status::ok_status();
+  // The surviving records of every dirty segment, by destination tier.
+  struct Stream {
+    std::vector<SegmentEntry> entries;
+    std::vector<std::string> captures;
   };
-
-  // WAL-resident entries, in id order (map order).
-  if (shard.wal != nullptr) std::fflush(shard.wal);
-  for (const auto& [id, entry] : index_) {
-    if (entry.shard != shard_index || !entry.segment.empty()) continue;
-    auto bytes = read_file_slice(wal_path(shard), entry.offset, entry.length);
-    if (!bytes.ok()) return bytes.error();
-    // Demotion re-encodes the capture, so a raw-dropped record is checked
-    // here; raw records are checked against the CRCs build_segment seals.
-    if (entry.raw_dropped && crc32c(bytes.value()) != entry.crc) {
-      return checksum_mismatch(id, entry.segment);
-    }
-    if (auto st = add_record(id, entry, std::move(bytes).take()); !st.ok()) {
-      return st;
-    }
-  }
-
-  // Dirty segments: rewrite their surviving records into the new streams.
-  std::vector<std::string> replaced;
+  Stream streams[2];  // indexed by tier
+  std::vector<std::string> compacted;
   for (const auto& [file, meta] : shard.segments) {
     if (!meta.dirty) continue;
-    replaced.push_back(file);
+    compacted.push_back(file);
     const std::string path = shard_path(shard) + "/" + file;
     auto bytes = read_file(path);
     auto parsed = bytes.ok()
@@ -638,72 +558,57 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
           it->second.shard != shard_index) {
         continue;  // erased, or superseded by a duplicate elsewhere
       }
+      // The read-back check: the capture must still match its entry's CRC.
       auto slice = segment_capture_bytes(bytes.value(), e);
-      if (!slice.ok()) return slice.error();
-      if (auto st = add_record(e.id, it->second, std::string{slice.value()});
-          !st.ok()) {
-        return st;
+      if (!slice.ok()) return checksum_mismatch(e.id, file);
+      SegmentEntry entry = e;
+      std::string capture;
+      if (it->second.raw_dropped) {
+        // Segment demotion, from the raw stream into the summary stream.
+        auto demoted = ChunkedCapture::summary_image(slice.value());
+        if (!demoted.ok()) return demoted.error();
+        capture = std::move(demoted).take();
+        entry.crc = crc32c(capture);
+      } else {
+        capture = std::string{slice.value()};
       }
+      Stream& stream =
+          streams[it->second.raw_dropped ? kTierSummary : kTierRaw];
+      stream.entries.push_back(std::move(entry));
+      stream.captures.push_back(std::move(capture));
     }
   }
 
   // Write the new tier streams and repoint the index.
-  const auto write_stream =
-      [&](std::uint8_t tier,
-          const std::vector<SegmentRecord>& records) -> util::Status {
-    if (records.empty()) return util::Status::ok_status();
-    const std::string file = std::string("seg-") +
-                             (tier == kTierRaw ? "r" : "s") + "-" +
-                             std::to_string(shard.next_segment++) + ".blsg";
-    const std::string image = build_segment(tier, records);
-    // Write-time self check: what we just built must parse back, and raw
-    // records must seal under the CRC their index entry recorded.
-    auto parsed = parse_segment_index(image);
-    if (!parsed.ok()) return parsed.error();
-    if (tier == kTierRaw) {
-      for (const SegmentEntry& e : parsed.value().entries) {
-        const Entry& source = index_.at(e.id);
-        if (e.crc != source.crc) return checksum_mismatch(e.id, source.segment);
-      }
-    }
-    if (auto st = write_file_atomic(shard_path(shard) + "/" + file, image);
-        !st.ok()) {
-      return st;
-    }
-    for (SegmentEntry& e : parsed.value().entries) {
-      Entry& entry = index_[e.id];
-      entry.shard = shard_index;
-      entry.segment = file;
+  for (const std::uint8_t tier : {kTierRaw, kTierSummary}) {
+    Stream& stream = streams[tier];
+    if (stream.entries.empty()) continue;
+    const std::vector<std::string_view> captures(stream.captures.begin(),
+                                                 stream.captures.end());
+    auto file = write_segment(shard, tier, stream.entries, captures);
+    if (!file.ok()) return file.error();
+    for (const SegmentEntry& e : stream.entries) {
+      Entry& entry = index_.at(e.id);
+      entry.segment = file.value();
       entry.offset = e.offset;
       entry.length = e.length;
       entry.crc = e.crc;
-      entry.raw_dropped = tier == kTierSummary;
     }
-    SegmentMeta meta;
-    meta.tier = tier;
-    meta.entry_count = records.size();
-    meta.live_count = records.size();
-    shard.segments.emplace(file, meta);
-    ++stats_.segment_flushes;
-    stats_.segment_bytes += image.size();
-    bump(metrics_.segment_flushes);
-    bump(metrics_.segment_bytes, image.size());
-    return util::Status::ok_status();
-  };
-  if (auto st = write_stream(kTierRaw, raw_records); !st.ok()) return st;
-  if (auto st = write_stream(kTierSummary, summary_records); !st.ok()) {
-    return st;
+    shard.segments.emplace(file.value(), SegmentMeta{tier});
   }
 
   // Replaced segments leave the catalog now; their files are deleted by
   // checkpoint() only after the new manifest is installed.
-  for (const std::string& file : replaced) shard.segments.erase(file);
+  for (const std::string& file : compacted) {
+    shard.segments.erase(file);
+    replaced.push_back(shard_path(shard) + "/" + file);
+  }
   return util::Status::ok_status();
 }
 
 util::Status PersistEngine::install_manifest() {
   Manifest manifest;
-  manifest.version = ++manifest_version_;
+  manifest.version = manifest_version_ + 1;
   manifest.next_seq = next_seq_;
   manifest.shards.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -711,14 +616,25 @@ util::Status PersistEngine::install_manifest() {
       manifest.shards[i].push_back(ManifestSegment{file, meta.tier});
     }
   }
-  return write_file_atomic(dir_ + "/manifest-" +
-                               std::to_string(manifest.version),
-                           encode_manifest(manifest));
+  const std::string bytes = encode_manifest(manifest);
+  if (auto st = write_file_atomic(
+          dir_ + "/manifest-" + std::to_string(manifest.version), {bytes});
+      !st.ok()) {
+    return st;
+  }
+  manifest_version_ = manifest.version;
+  // open() left at most this version's two predecessors, and every install
+  // since removed the one before its own predecessor.
+  if (manifest_version_ >= 2) {
+    std::error_code ec;
+    fs::remove(dir_ + "/manifest-" + std::to_string(manifest_version_ - 2),
+               ec);
+  }
+  return util::Status::ok_status();
 }
 
 const char* checkpoint_cause_name(CheckpointCause cause) {
   switch (cause) {
-    case CheckpointCause::kBytes: return "bytes";
     case CheckpointCause::kScheduled: return "scheduled";
     case CheckpointCause::kRetention: return "retention";
     case CheckpointCause::kManual: return "manual";
@@ -731,25 +647,19 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
     return util::make_error(util::ErrorCode::kFailedPrecondition,
                             "persist engine not opened");
   }
-  bool changed = false;
   std::vector<std::size_t> touched;
-  // Old segment files must outlive the manifest install, so note what the
-  // catalog held before compaction rewrites it.
-  std::vector<std::string> before;
+  // Old segment files must outlive the manifest install.
+  std::vector<std::string> replaced;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = shards_[i];
+    const Shard& shard = shards_[i];
     const bool has_dirty =
         std::any_of(shard.segments.begin(), shard.segments.end(),
                     [](const auto& kv) { return kv.second.dirty; });
     if (shard.wal_size == 0 && !has_dirty) continue;
-    for (const auto& [file, meta] : shard.segments) {
-      before.push_back(shard_path(shard) + "/" + file);
-    }
-    if (auto st = checkpoint_shard(i); !st.ok()) return st;
+    if (auto st = checkpoint_shard(i, replaced); !st.ok()) return st;
     touched.push_back(i);
-    changed = true;
   }
-  if (!changed) return util::Status::ok_status();
+  if (touched.empty()) return util::Status::ok_status();
 
   // Manifest install is the commit point: everything before it is invisible
   // to recovery, everything after it is cleanup a crash may skip.
@@ -765,25 +675,7 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
     fs::resize_file(wal_path(shard), 0, ec);
     shard.wal_size = 0;
   }
-  for (const std::string& path : before) {
-    const std::string file = fs::path(path).filename().string();
-    bool still_live = false;
-    for (const Shard& shard : shards_) {
-      if (shard.segments.contains(file) &&
-          path == shard_path(shard) + "/" + file) {
-        still_live = true;
-        break;
-      }
-    }
-    if (!still_live) fs::remove(path, ec);
-  }
-  // Keep the previous manifest as the recovery fallback; prune older ones.
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const auto version = manifest_version_of(entry.path().filename().string());
-    if (version.has_value() && *version + 1 < manifest_version_) {
-      fs::remove(entry.path(), ec);
-    }
-  }
+  for (const std::string& path : replaced) fs::remove(path, ec);
   ++stats_.checkpoints;
   ++stats_.checkpoints_by_cause[static_cast<std::size_t>(cause)];
   bump(metrics_.checkpoints[static_cast<std::size_t>(cause)]);
@@ -874,12 +766,9 @@ util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
                             "no persisted capture " + id.str());
   }
   const Entry& entry = it->second;
-  Shard& shard = shards_[entry.shard];
-  if (entry.segment.empty() && shard.wal != nullptr) std::fflush(shard.wal);
-  auto bytes = read_file_slice(entry.segment.empty()
-                                   ? wal_path(shard)
-                                   : shard_path(shard) + "/" + entry.segment,
-                               entry.offset, entry.length);
+  auto bytes = read_file_slice(
+      shard_path(shards_[entry.shard]) + "/" + entry.segment, entry.offset,
+      entry.length);
   if (!bytes.ok()) return bytes.error();
   if (crc32c(bytes.value()) != entry.crc) {
     return checksum_mismatch(id, entry.segment);

@@ -3,21 +3,25 @@
 // On-disk layout, rooted at one directory per deployment:
 //
 //   <dir>/manifest-<version>        versioned, CRC-sealed catalog
-//   <dir>/shard-000/wal.log         per-shard write-ahead log
+//   <dir>/shard-000/wal.log         per-shard journal of drop/erase notes
 //   <dir>/shard-000/seg-r-7.blsg    raw-tier segment (chunks intact)
 //   <dir>/shard-000/seg-s-3.blsg    summary-tier segment (raw purged)
 //   ...
 //
-// Workspaces map to shards by a consistent-hash ring (virtual points over
-// fnv1a), so a vantage point's captures cluster in one directory and
-// recovery/compaction work is partitioned. Appends are journaled to the
-// shard WAL and acknowledged after an fflush; checkpoints fold the WAL into
-// append-only segment files (one stream per retention tier, embedding each
-// capture's canonical ChunkedCapture image), then install a new
-// manifest version and truncate the WAL. Recovery is the reverse: pick the
-// highest manifest that parses, open its segments, replay the WAL on top
-// (idempotently — a crash between manifest install and WAL truncation must
-// not double-apply), drop any torn tail, and garbage-collect orphans.
+// Workspaces map to shards by a mixed fnv1a hash modulo the shard count,
+// which is fixed when the store is created, so a vantage point's captures
+// cluster in one directory and recovery/compaction work is partitioned.
+// An append writes the capture's in-memory image once, by reference, into
+// its own segment file and commits it by installing the next manifest
+// version: the manifest is the store's only commit point. Drop-raw and
+// erase notes are journaled to the shard WAL and acknowledged after an
+// fflush; a checkpoint folds them by compacting the segments they touch
+// (LSM-style, one stream per retention tier), installs a manifest and
+// truncates the WAL. Recovery is the reverse: pick the highest manifest
+// that parses, open its segments, replay the notes on top (idempotently —
+// a crash between manifest install and WAL truncation must not
+// double-apply), drop any torn tail, and garbage-collect orphans: unlisted
+// segments, stale manifests and `.tmp` leftovers of interrupted writes.
 //
 // Crucially for DST: the engine does no background work, consumes no
 // randomness and never reads the wall clock into logical state — every
@@ -54,30 +58,23 @@ struct PersistOptions {
   /// Shard directories (fixed at store creation; an existing store's
   /// manifest wins over this value on open).
   std::size_t shards = 4;
-  /// Virtual points per shard on the consistent-hash ring.
-  std::size_t ring_points = 8;
-  /// A shard WAL larger than this triggers an automatic checkpoint on the
-  /// next append. Byte-driven, so it stays deterministic under DST.
-  std::size_t wal_checkpoint_bytes = 1u << 20;
 };
 
-/// Why a checkpoint ran: the shard WAL crossed wal_checkpoint_bytes, the
-/// maintenance tier's sim-time cadence fired, retention folded its drops,
-/// or an operator/test asked for one directly. Labels the
-/// blab_persist_checkpoints_total metric.
+/// Why a checkpoint ran: the maintenance tier's sim-time cadence fired,
+/// retention folded its drops, or an operator/test asked for one directly.
+/// Labels the blab_persist_checkpoints_total metric.
 enum class CheckpointCause : std::uint8_t {
-  kBytes = 0,
-  kScheduled = 1,
-  kRetention = 2,
-  kManual = 3,
+  kScheduled = 0,
+  kRetention = 1,
+  kManual = 2,
 };
-inline constexpr std::size_t kCheckpointCauses = 4;
+inline constexpr std::size_t kCheckpointCauses = 3;
 const char* checkpoint_cause_name(CheckpointCause cause);
 
 struct PersistStats {
-  std::uint64_t wal_appends = 0;  ///< records journaled (all op kinds)
+  std::uint64_t wal_appends = 0;  ///< notes journaled (drop-raw and erase)
   std::uint64_t wal_bytes = 0;
-  std::uint64_t segment_flushes = 0;  ///< segment files written
+  std::uint64_t segment_flushes = 0;  ///< segment files written (appends too)
   std::uint64_t segment_bytes = 0;
   std::uint64_t checkpoints = 0;  ///< total across causes
   std::uint64_t checkpoints_by_cause[kCheckpointCauses] = {};
@@ -105,11 +102,14 @@ class PersistEngine {
   const std::string& dir() const { return dir_; }
 
   std::size_t shard_count() const { return shards_.size(); }
-  /// Consistent-hash shard for a workspace (vantage-point job id).
+  /// Shard for a workspace (vantage-point job id): a mixed hash of it,
+  /// modulo the shard count.
   std::size_t shard_of(std::string_view workspace) const;
 
   // -- write path ---------------------------------------------------------
-  /// Journal a new capture. Durable (journaled + flushed) on ok().
+  /// Write a new capture's image into its own segment and commit it with
+  /// the next manifest. Durable (written + flushed) on ok(); on failure
+  /// nothing of it is indexed or cataloged.
   util::Status append(const CaptureId& id, const std::string& name,
                       util::TimePoint stored_at, const ChunkedCapture& cc);
   /// Journal a raw-tier purge / whole-record erase for an id already known
@@ -117,11 +117,11 @@ class PersistEngine {
   util::Status note_drop_raw(const CaptureId& id);
   util::Status note_erase(const CaptureId& id);
 
-  /// Fold every shard's WAL into segments, rewrite segments with pending
-  /// drops/erases (LSM-style compaction into the tier streams), install a
-  /// new manifest version, truncate the WALs. `cause` labels the checkpoint
-  /// counter so operators can tell byte-pressure checkpoints from the
-  /// maintenance tier's scheduled cadence.
+  /// Fold the WALs' notes: rewrite segments with pending drops/erases
+  /// (LSM-style compaction into the tier streams), install a new manifest
+  /// version, truncate the WALs. `cause` labels the checkpoint counter so
+  /// operators can tell the maintenance tier's scheduled cadence from
+  /// retention passes.
   util::Status checkpoint(CheckpointCause cause = CheckpointCause::kManual);
 
   /// Apply TTLs to the on-disk copy and compact. Returns bytes reclaimed
@@ -147,7 +147,7 @@ class PersistEngine {
                     const std::function<void(const EntryInfo&)>& fn) const;
   std::vector<CaptureId> list(const std::string& workspace) const;
   std::vector<std::string> workspaces() const;
-  /// Materialize one capture from disk (WAL or segment, checksummed).
+  /// Materialize one capture from its segment, checksummed.
   util::Result<ChunkedCapture> load(const CaptureId& id);
 
   /// First sequence number a recovered store may hand out: one past the
@@ -167,8 +167,6 @@ class PersistEngine {
  private:
   struct SegmentMeta {
     std::uint8_t tier = kTierRaw;
-    std::uint64_t entry_count = 0;  ///< entries in the file
-    std::uint64_t live_count = 0;   ///< entries still referenced
     bool dirty = false;  ///< has pending drops/erases; rewrite on checkpoint
   };
   struct Shard {
@@ -183,10 +181,10 @@ class PersistEngine {
     util::TimePoint stored_at;
     bool raw_dropped = false;
     std::size_t shard = 0;
-    std::string segment;  ///< empty = lives in the shard WAL
+    std::string segment;  ///< file in the shard directory
     std::uint64_t offset = 0;
     std::uint64_t length = 0;
-    std::uint32_t crc = 0;  ///< crc32c of the capture bytes, WAL or segment
+    std::uint32_t crc = 0;  ///< crc32c of the capture bytes
   };
   struct Metrics {
     obs::Counter* wal_appends = nullptr;
@@ -207,16 +205,29 @@ class PersistEngine {
   std::string shard_path(const Shard& shard) const;
   std::string wal_path(const Shard& shard) const;
   util::Status ensure_wal(Shard& shard);
-  /// Journal `record` with `capture` (crc32c `capture_crc`) as its capture
-  /// bytes; notes pass an empty capture.
-  util::Status wal_write(Shard& shard, const WalRecord& record,
-                         std::string_view capture, std::uint32_t capture_crc);
+  util::Status wal_write(Shard& shard, const WalRecord& note);
+  /// Journal `op` for `id`, then apply it to the index; a no-op for unknown
+  /// ids and for dropping a raw tier already dropped.
+  util::Status note(WalOp op, const CaptureId& id);
+  /// Apply a note to the index entry it names and mark its segment dirty.
+  void apply_note(WalOp op, std::map<CaptureId, Entry>::iterator it);
+  /// Write a new segment file of `tier` holding `captures` (whose crcs
+  /// `entries` already carry) in place, and fill in the entries' offsets
+  /// and lengths. Returns the file name. Not yet cataloged.
+  util::Result<std::string> write_segment(
+      Shard& shard, std::uint8_t tier, std::vector<SegmentEntry>& entries,
+      const std::vector<std::string_view>& captures);
   util::Status recover_manifest(Manifest& manifest);
   util::Status recover_shard(std::size_t shard_index,
                              const std::vector<ManifestSegment>& segments);
-  util::Status checkpoint_shard(std::size_t shard_index);
+  /// Compact shard's dirty segments; appends the paths of the segments it
+  /// took out of the catalog to `replaced`.
+  util::Status checkpoint_shard(std::size_t shard_index,
+                                std::vector<std::string>& replaced);
+  /// The commit point: write the catalog as the next manifest version, then
+  /// keep the previous manifest as the recovery fallback and prune the one
+  /// before it.
   util::Status install_manifest();
-  void build_ring();
   static void bump(obs::Counter* c, std::uint64_t n = 1);
   void sync_gauges();
 
@@ -226,7 +237,6 @@ class PersistEngine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t manifest_version_ = 0;
   std::vector<Shard> shards_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
   std::map<CaptureId, Entry> index_;
   PersistStats stats_;
   Metrics metrics_;

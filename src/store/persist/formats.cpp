@@ -32,15 +32,13 @@ const char* get_time(const char* p, const char* end, util::TimePoint& t) {
   return p;
 }
 
-/// Parse one WAL payload (everything inside the frame). The capture bytes
-/// are the payload's final field — their length is implied by the frame, so
-/// the encoding is canonical by construction.
+/// Parse one WAL payload (everything inside the frame): op, then id.
 bool parse_wal_payload(std::string_view payload, WalRecord& record) {
   const char* p = payload.data();
   const char* end = p + payload.size();
   if (p == end) return false;
   const auto op = static_cast<std::uint8_t>(*p++);
-  if (op < static_cast<std::uint8_t>(WalOp::kAppend) ||
+  if (op < static_cast<std::uint8_t>(WalOp::kDropRaw) ||
       op > static_cast<std::uint8_t>(WalOp::kErase)) {
     return false;
   }
@@ -48,56 +46,23 @@ bool parse_wal_payload(std::string_view payload, WalRecord& record) {
   p = get_string(p, end, record.id.workspace);
   if (p == nullptr) return false;
   p = get_u64(p, end, record.id.seq);
-  if (p == nullptr) return false;
-  if (record.op != WalOp::kAppend) {
-    record.name.clear();
-    record.stored_at = util::TimePoint::epoch();
-    record.capture.clear();
-    return p == end;  // exact consumption
-  }
-  p = get_string(p, end, record.name);
-  if (p == nullptr) return false;
-  p = get_time(p, end, record.stored_at);
-  if (p == nullptr) return false;
-  record.capture.assign(p, static_cast<std::size_t>(end - p));
-  return true;
-}
-
-/// Every payload field before the capture bytes.
-void put_wal_fields(std::string& out, const WalRecord& record) {
-  out.push_back(static_cast<char>(record.op));
-  put_string(out, record.id.workspace);
-  put_u64(out, record.id.seq);
-  if (record.op == WalOp::kAppend) {
-    put_string(out, record.name);
-    put_u64(out, static_cast<std::uint64_t>(record.stored_at.us()));
-  }
+  return p == end;  // exact consumption
 }
 
 }  // namespace
 
 void append_wal_record(std::string& out, const WalRecord& record) {
   // The payload goes straight into `out` behind a placeholder [len][crc]
-  // header that is filled in last, and is checksummed in one pass.
+  // header that is filled in last.
   const std::size_t frame = out.size();
   out.append(8, '\0');
-  put_wal_fields(out, record);
-  if (record.op == WalOp::kAppend) out.append(record.capture);
+  out.push_back(static_cast<char>(record.op));
+  put_string(out, record.id.workspace);
+  put_u64(out, record.id.seq);
   const std::string_view payload = std::string_view{out}.substr(frame + 8);
   char* header = out.data() + frame;
   header = put_u32(header, static_cast<std::uint32_t>(payload.size()));
   put_u32(header, crc32c(payload));
-}
-
-std::string wal_frame_head(const WalRecord& record, std::size_t capture_size,
-                           std::uint32_t capture_crc) {
-  std::string head(8, '\0');
-  put_wal_fields(head, record);
-  const std::string_view fields = std::string_view{head}.substr(8);
-  char* p = head.data();
-  p = put_u32(p, static_cast<std::uint32_t>(fields.size() + capture_size));
-  put_u32(p, crc32c_combine(crc32c(fields), capture_crc, capture_size));
-  return head;
 }
 
 WalReplay parse_wal(std::string_view bytes) {
@@ -116,8 +81,6 @@ WalReplay parse_wal(std::string_view bytes) {
     if (crc32c(payload) != crc) break;
     WalRecord record;
     if (!parse_wal_payload(payload, record)) break;
-    record.capture_offset = static_cast<std::uint64_t>(
-        (q - begin) + (len - record.capture.size()));
     replay.records.push_back(std::move(record));
     p = q + len;
   }
@@ -126,19 +89,35 @@ WalReplay parse_wal(std::string_view bytes) {
   return replay;
 }
 
+std::string segment_header(std::uint8_t tier) {
+  std::string out{kSegmentMagic};
+  out.push_back(static_cast<char>(tier));
+  return out;
+}
+
+std::string segment_footer(const std::vector<SegmentEntry>& entries,
+                           std::uint64_t index_offset) {
+  std::string out;
+  put_u64(out, entries.size());
+  for (const SegmentEntry& entry : entries) {
+    put_string(out, entry.id.workspace);
+    put_u64(out, entry.id.seq);
+    put_string(out, entry.name);
+    put_u64(out, static_cast<std::uint64_t>(entry.stored_at.us()));
+    put_u64(out, entry.offset);
+    put_u64(out, entry.length);
+    put_u32(out, entry.crc);
+  }
+  const std::uint32_t index_crc = crc32c(out);
+  put_u64(out, index_offset);
+  put_u32(out, index_crc);
+  out.append(kSegmentEndMagic);
+  return out;
+}
+
 std::string build_segment(std::uint8_t tier,
                           const std::vector<SegmentRecord>& records) {
-  // Reserve the exact image size, so appending the index never reallocates
-  // (and re-copies) the payload region.
-  std::size_t size = kSegmentMagic.size() + 1 + 8 + kSegmentTrailerBytes;
-  for (const SegmentRecord& record : records) {
-    size += record.capture.size() + 4 + record.id.workspace.size() + 8 + 4 +
-            record.name.size() + 8 + 8 + 8 + 4;
-  }
-  std::string out;
-  out.reserve(size);
-  out.append(kSegmentMagic);
-  out.push_back(static_cast<char>(tier));
+  std::string out = segment_header(tier);
   std::vector<SegmentEntry> entries;
   entries.reserve(records.size());
   for (const SegmentRecord& record : records) {
@@ -152,57 +131,33 @@ std::string build_segment(std::uint8_t tier,
     out.append(record.capture);
     entries.push_back(std::move(entry));
   }
-  const std::uint64_t index_offset = out.size();
-  put_u64(out, entries.size());
-  for (const SegmentEntry& entry : entries) {
-    put_string(out, entry.id.workspace);
-    put_u64(out, entry.id.seq);
-    put_string(out, entry.name);
-    put_u64(out, static_cast<std::uint64_t>(entry.stored_at.us()));
-    put_u64(out, entry.offset);
-    put_u64(out, entry.length);
-    put_u32(out, entry.crc);
-  }
-  const std::uint32_t index_crc =
-      crc32c(std::string_view{out}.substr(index_offset));
-  put_u64(out, index_offset);
-  put_u32(out, index_crc);
-  out.append(kSegmentEndMagic);
+  out.append(segment_footer(entries, out.size()));
   return out;
 }
 
-util::Result<SegmentIndex> parse_segment_index(std::string_view file) {
-  const std::size_t header = kSegmentMagic.size() + 1;
-  if (file.size() < header + 8 + kSegmentTrailerBytes) {
-    return format_error("segment too short");
-  }
-  if (file.substr(0, kSegmentMagic.size()) != kSegmentMagic) {
-    return format_error("bad segment magic");
-  }
-  SegmentIndex index;
-  index.tier = static_cast<std::uint8_t>(file[kSegmentMagic.size()]);
-  if (index.tier != kTierRaw && index.tier != kTierSummary) {
-    return format_error("unknown segment tier");
+util::Result<std::vector<SegmentEntry>> parse_segment_footer(
+    std::string_view footer, std::uint64_t index_offset) {
+  if (footer.size() < 8 + kSegmentTrailerBytes) {
+    return format_error("segment footer too short");
   }
   const std::string_view trailer =
-      file.substr(file.size() - kSegmentTrailerBytes);
+      footer.substr(footer.size() - kSegmentTrailerBytes);
   if (trailer.substr(kSegmentTrailerBytes - kSegmentEndMagic.size()) !=
       kSegmentEndMagic) {
     return format_error("bad segment end magic");
   }
-  std::uint64_t index_offset = 0;
+  std::uint64_t stored_offset = 0;
   std::uint32_t index_crc = 0;
   const char* t = trailer.data();
   const char* t_end = t + trailer.size();
-  t = get_u64(t, t_end, index_offset);
+  t = get_u64(t, t_end, stored_offset);
   t = get_u32(t, t_end, index_crc);
-  const std::size_t index_end = file.size() - kSegmentTrailerBytes;
-  if (t == nullptr || index_offset < header ||
-      index_offset + 8 > index_end) {
+  if (t == nullptr || stored_offset != index_offset ||
+      index_offset < kSegmentHeaderBytes) {
     return format_error("segment index offset out of range");
   }
   const std::string_view index_bytes =
-      file.substr(index_offset, index_end - index_offset);
+      footer.substr(0, footer.size() - kSegmentTrailerBytes);
   if (crc32c(index_bytes) != index_crc) {
     return format_error("segment index checksum mismatch");
   }
@@ -214,10 +169,11 @@ util::Result<SegmentIndex> parse_segment_index(std::string_view file) {
   if (p == nullptr || count > index_bytes.size() / 44) {
     return format_error("segment entry count implausible");
   }
-  index.entries.reserve(count);
+  std::vector<SegmentEntry> entries;
+  entries.reserve(count);
   // The payload region must be tiled densely, in order, with no gaps: that
   // makes the file canonical and every payload byte accounted for.
-  std::uint64_t expected_offset = header;
+  std::uint64_t expected_offset = kSegmentHeaderBytes;
   for (std::uint64_t i = 0; i < count; ++i) {
     SegmentEntry entry;
     p = get_string(p, end, entry.id.workspace);
@@ -233,12 +189,39 @@ util::Result<SegmentIndex> parse_segment_index(std::string_view file) {
       return format_error("segment payload not densely tiled");
     }
     expected_offset = entry.offset + entry.length;
-    index.entries.push_back(std::move(entry));
+    entries.push_back(std::move(entry));
   }
   if (p != end) return format_error("trailing bytes after segment index");
   if (expected_offset != index_offset) {
     return format_error("segment payload region not fully covered");
   }
+  return entries;
+}
+
+util::Result<SegmentIndex> parse_segment_index(std::string_view file) {
+  if (file.size() < kSegmentHeaderBytes + 8 + kSegmentTrailerBytes) {
+    return format_error("segment too short");
+  }
+  if (file.substr(0, kSegmentMagic.size()) != kSegmentMagic) {
+    return format_error("bad segment magic");
+  }
+  SegmentIndex index;
+  index.tier = static_cast<std::uint8_t>(file[kSegmentMagic.size()]);
+  if (index.tier != kTierRaw && index.tier != kTierSummary) {
+    return format_error("unknown segment tier");
+  }
+  // The trailer says where the footer starts; parse_segment_footer checks
+  // that it says so again.
+  std::uint64_t index_offset = 0;
+  const char* t = file.data() + file.size() - kSegmentTrailerBytes;
+  (void)get_u64(t, t + 8, index_offset);
+  const std::size_t index_end = file.size() - kSegmentTrailerBytes;
+  if (index_offset < kSegmentHeaderBytes || index_offset > index_end - 8) {
+    return format_error("segment index offset out of range");
+  }
+  auto entries = parse_segment_footer(file.substr(index_offset), index_offset);
+  if (!entries.ok()) return entries.error();
+  index.entries = std::move(entries).take();
   return index;
 }
 

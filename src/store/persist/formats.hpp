@@ -5,19 +5,23 @@
 // the deserializers are total functions over arbitrary bytes (the
 // persist_fuzz harness drives them directly; file I/O lives in engine.cpp):
 //
-//   WAL      a stream of [u32 len][u32 crc32c(payload)][payload] frames.
+//   WAL      a stream of [u32 len][u32 crc32c(payload)][payload] frames,
+//            each a drop-raw or erase note naming one capture id. Captures
+//            never enter the WAL: each lives in a segment from its append.
 //            Parsing stops at the first truncated, oversized or
 //            checksum-failing frame and reports the torn tail instead of
 //            erroring — a crashed writer may leave a partial frame, and
 //            everything before it is still committed data.
 //
 //   Segment  "BLSG1" + tier byte, a dense payload region of serialized
-//            ChunkedCaptures, an index of (id, name, stored_at, offset,
-//            length, crc) entries, and a fixed 16-byte trailer
-//            [u64 index_offset][u32 index_crc]"BLSE" read back-to-front.
-//            The index must tile the payload region exactly, which makes
-//            the whole file canonical: parse-then-rebuild is
-//            byte-identical.
+//            ChunkedCaptures, then the footer: an index of (id, name,
+//            stored_at, offset, length, crc) entries and a fixed 16-byte
+//            trailer [u64 index_offset][u32 index_crc]"BLSE" read
+//            back-to-front. The index must tile the payload region
+//            exactly, which makes the whole file canonical:
+//            parse-then-rebuild is byte-identical. A writer can emit the
+//            header, the payloads where they already are, and the footer,
+//            without assembling the file.
 //
 //   Manifest "BLMF1" + version + next_seq + per-shard segment lists + a
 //            trailing CRC over everything before it. Canonical for the
@@ -41,44 +45,25 @@ namespace blab::store::persist {
 
 // ---- WAL ----------------------------------------------------------------
 
-/// Logical operations the store journals before acknowledging them.
+/// Notes the store journals before acknowledging them. Both name a capture
+/// already committed to a segment; the next checkpoint folds them into the
+/// segments and truncates the WAL.
 enum class WalOp : std::uint8_t {
-  kAppend = 1,   ///< new capture: id, name, stored_at, serialized bytes
   kDropRaw = 2,  ///< raw tier purged for id (retention / workspace purge)
   kErase = 3,    ///< record dropped entirely for id (summary TTL)
 };
 
 struct WalRecord {
-  WalOp op = WalOp::kAppend;
+  WalOp op = WalOp::kDropRaw;
   CaptureId id;
-  // kAppend only; empty otherwise.
-  std::string name;
-  util::TimePoint stored_at;
-  std::string capture;  ///< ChunkedCapture::serialize() bytes
 
-  /// Filled by parse_wal: offset of `capture` within the parsed buffer, so
-  /// recovered records can be re-read lazily from the file without keeping
-  /// every payload resident. Zero for records built by hand.
-  std::uint64_t capture_offset = 0;
-
-  bool operator==(const WalRecord& o) const {
-    return op == o.op && id == o.id && name == o.name &&
-           stored_at == o.stored_at && capture == o.capture;
-  }
+  bool operator==(const WalRecord&) const = default;
 };
 
 /// Append one framed record to `out`. Deterministic: the same logical record
 /// always produces the same bytes (canonical framing — parse_wal accepts
 /// exactly what this emits).
 void append_wal_record(std::string& out, const WalRecord& record);
-
-/// The frame append_wal_record emits, minus its trailing capture bytes, for
-/// writers that keep the capture where it is: head + capture is the whole
-/// frame. `record.capture` is ignored; the capture is `capture_size` bytes
-/// with crc32c `capture_crc` (0 and 0 for kDropRaw/kErase), and the frame
-/// CRC is combined from that, so the capture is not checksummed again.
-std::string wal_frame_head(const WalRecord& record, std::size_t capture_size,
-                           std::uint32_t capture_crc);
 
 struct WalReplay {
   std::vector<WalRecord> records;
@@ -121,13 +106,30 @@ struct SegmentIndex {
   std::vector<SegmentEntry> entries;
 };
 
-/// Build a complete segment file image. Records are laid out densely in the
-/// given order; the per-entry CRC is computed here.
+/// The segment header: magic, then the tier byte. The payload region
+/// starts right after it.
+inline constexpr std::size_t kSegmentHeaderBytes = kSegmentMagic.size() + 1;
+std::string segment_header(std::uint8_t tier);
+
+/// The segment footer: the index over `entries`, whose offsets and lengths
+/// must tile [kSegmentHeaderBytes, index_offset), then the trailer.
+std::string segment_footer(const std::vector<SegmentEntry>& entries,
+                           std::uint64_t index_offset);
+
+/// Build a complete segment file image: header, payloads, footer. Records
+/// are laid out densely in the given order; the per-entry CRC is computed
+/// here.
 std::string build_segment(std::uint8_t tier,
                           const std::vector<SegmentRecord>& records);
 
+/// Parse a segment footer that starts at file offset `index_offset`:
+/// trailer, index checksum, and entries that tile the payload region
+/// [kSegmentHeaderBytes, index_offset) exactly. Needs no payload byte.
+util::Result<std::vector<SegmentEntry>> parse_segment_footer(
+    std::string_view footer, std::uint64_t index_offset);
+
 /// Parse header + trailer + index of a segment image. O(index) — capture
-/// payloads are range-checked but not decoded (load_segment_record does
+/// payloads are range-checked but not decoded (segment_capture_bytes does
 /// that per entry). Fails on any structural or checksum violation.
 util::Result<SegmentIndex> parse_segment_index(std::string_view file);
 

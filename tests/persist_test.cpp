@@ -1,6 +1,7 @@
-// Durable capture store: CRC32C, WAL framing and torn-tail tolerance,
-// segment/manifest formats, the PersistEngine recovery path (WAL replay,
-// manifest installs, compaction, retention), and the CaptureStore
+// Durable capture store: CRC32C, WAL note framing and torn-tail tolerance,
+// segment/manifest formats, the PersistEngine write and recovery paths
+// (one segment per append committed by the manifest, note replay,
+// compaction, retention, garbage collection), and the CaptureStore
 // integration (archive-through appends, transparent cold queries).
 //
 // The exhaustive torn-write sweeps live here rather than in the fuzz lane:
@@ -74,30 +75,39 @@ std::string scratch_dir(const std::string& tag) {
 }
 
 std::vector<persist::WalRecord> make_wal_fixture() {
-  std::vector<persist::WalRecord> records;
-  persist::WalRecord a;
-  a.op = persist::WalOp::kAppend;
-  a.id = {"vp-oslo", 3};
-  a.name = "DEV-1";
-  a.stored_at = TimePoint::from_micros(1'500'000);
-  a.capture = capture_bytes(11, 120);
-  records.push_back(a);
-  persist::WalRecord b;
-  b.op = persist::WalOp::kDropRaw;
-  b.id = {"vp-oslo", 3};
-  records.push_back(b);
-  persist::WalRecord c;
-  c.op = persist::WalOp::kAppend;
-  c.id = {"vp-rio", 7};
-  c.name = "DEV-2";
-  c.stored_at = TimePoint::from_micros(2'750'000);
-  c.capture = capture_bytes(12, 64);
-  records.push_back(c);
-  persist::WalRecord d;
-  d.op = persist::WalOp::kErase;
-  d.id = {"vp-rio", 2};
-  records.push_back(d);
-  return records;
+  return {
+      {persist::WalOp::kDropRaw, {"vp-oslo", 3}},
+      {persist::WalOp::kErase, {"vp-rio", 7}},
+      {persist::WalOp::kDropRaw, {"vp-rio", 2}},
+      {persist::WalOp::kErase, {"vp-oslo", 3}},
+  };
+}
+
+/// Directory of the shard that holds `workspace`.
+fs::path shard_dir(const std::string& dir,
+                   const persist::PersistEngine& engine,
+                   const std::string& workspace) {
+  char name[32];
+  std::snprintf(name, sizeof name, "shard-%03zu", engine.shard_of(workspace));
+  return fs::path{dir} / name;
+}
+
+/// Names of the files under `dir` that start with `prefix`, sorted.
+std::vector<std::string> files_with_prefix(const fs::path& dir,
+                                           const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string read_all(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::string{std::istreambuf_iterator<char>{in},
+                     std::istreambuf_iterator<char>{}};
 }
 
 // ------------------------------------------------------------------------
@@ -196,41 +206,6 @@ TEST(Crc32c, SelectedMatchesTableOnChainedSplitsOfACaptureSizedBuffer) {
   }
 }
 
-TEST(Crc32c, CombineMatchesConcatenation) {
-  // crc32c_combine only does polynomial arithmetic on the two CRCs, so it
-  // must agree with whichever implementation computed them.
-  blab::util::Rng rng{74};
-  const std::string big = random_bytes(rng, 3u << 20);
-  for (const CrcPath& path : kCrcPaths) {
-    SCOPED_TRACE(path.name);
-    const auto combined = [&](std::string_view a, std::string_view b) {
-      return persist::crc32c_combine(path.fn(a, 0), path.fn(b, 0), b.size());
-    };
-    // Every split, empty halves included, of random buffers of 0-64 bytes.
-    for (std::size_t len = 0; len <= 64; ++len) {
-      const std::string bytes = random_bytes(rng, len);
-      const std::string_view view{bytes};
-      const std::uint32_t whole = path.fn(view, 0);
-      for (std::size_t cut = 0; cut <= len; ++cut) {
-        ASSERT_EQ(combined(view.substr(0, cut), view.substr(cut)), whole)
-            << "length " << len << " split at " << cut;
-      }
-    }
-    // A capture-sized buffer: both empty-half splits and random ones.
-    const std::string_view view{big};
-    const std::uint32_t whole = path.fn(view, 0);
-    std::vector<std::size_t> cuts{0, view.size()};
-    for (int i = 0; i < 6; ++i) {
-      cuts.push_back(static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(view.size()))));
-    }
-    for (std::size_t cut : cuts) {
-      EXPECT_EQ(combined(view.substr(0, cut), view.substr(cut)), whole)
-          << "split at " << cut;
-    }
-  }
-}
-
 TEST(Crc32c, Sse42CpuSelectsTheInstructionPath) {
   // CPUID read independently of the implementation's own check.
 #if defined(__x86_64__)
@@ -261,11 +236,6 @@ TEST(WalFormat, RoundTripsEveryOpKind) {
   ASSERT_EQ(replay.records.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_TRUE(replay.records[i] == records[i]) << "record " << i;
-    // capture_offset lets the engine re-read payloads lazily.
-    EXPECT_EQ(image.substr(replay.records[i].capture_offset,
-                           replay.records[i].capture.size()),
-              records[i].capture)
-        << "record " << i;
   }
 }
 
@@ -401,6 +371,23 @@ TEST(SegmentFormat, RejectsNonDenseTiling) {
   EXPECT_FALSE(persist::parse_segment_index(image).ok());
 }
 
+TEST(SegmentFormat, RejectsIndexOffsetPastTheEnd) {
+  // The trailer's index offset is read from the file. One near 2^64 must be
+  // rejected, not wrap the range check and slice past the end.
+  const std::string image =
+      persist::build_segment(persist::kTierRaw, make_segment_fixture());
+  for (const std::uint64_t offset :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 7,
+        std::uint64_t{image.size()}}) {
+    std::string tampered = image;
+    const std::size_t at = tampered.size() - persist::kSegmentTrailerBytes;
+    for (std::size_t i = 0; i < 8; ++i) {
+      tampered[at + i] = static_cast<char>(offset >> (8 * i));
+    }
+    EXPECT_FALSE(persist::parse_segment_index(tampered).ok()) << offset;
+  }
+}
+
 // ------------------------------------------------------------------------
 // Manifest format.
 // ------------------------------------------------------------------------
@@ -446,7 +433,7 @@ TEST(PersistEngine, ShardingIsConsistentAndCovering) {
     EXPECT_EQ(engine.shard_of(ws), shard) << "unstable hash for " << ws;
     ++hits[shard];
   }
-  // The ring must actually spread workspaces around.
+  // The hash must actually spread workspaces around.
   std::size_t used = 0;
   for (const std::size_t h : hits) used += h > 0 ? 1 : 0;
   EXPECT_GE(used, 2u);
@@ -454,8 +441,10 @@ TEST(PersistEngine, ShardingIsConsistentAndCovering) {
   fs::remove_all(dir, ec);
 }
 
-TEST(PersistEngine, WalOnlyRecoveryRestoresEverything) {
-  const std::string dir = scratch_dir("walrec");
+TEST(PersistEngine, AppendsSurviveWithoutWalOrCheckpoint) {
+  // An append is committed by its manifest: a store killed after two
+  // appends, with no checkpoint and nothing journaled, restores both.
+  const std::string dir = scratch_dir("appendrec");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(31, 500));
   {
     persist::PersistEngine engine{dir};
@@ -468,9 +457,10 @@ TEST(PersistEngine, WalOnlyRecoveryRestoresEverything) {
                     .append({"vp-b", 2}, "DEV-2",
                             TimePoint::from_micros(2000), cc)
                     .ok());
-    EXPECT_EQ(engine.stats().wal_appends, 2u);
-    // No checkpoint: everything lives in the WALs when the engine dies.
+    EXPECT_EQ(engine.stats().wal_appends, 0u);
+    EXPECT_EQ(engine.stats().checkpoints, 0u);
   }
+  EXPECT_TRUE(files_with_prefix(dir, "wal.log").empty());
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   EXPECT_EQ(engine.size(), 2u);
@@ -489,14 +479,167 @@ TEST(PersistEngine, WalOnlyRecoveryRestoresEverything) {
   fs::remove_all(dir, ec);
 }
 
+TEST(PersistEngine, AppendWritesEachImageOnceIntoItsOwnSegment) {
+  // One write per capture: nothing goes to a WAL, and each append's
+  // segment file is, byte for byte, what build_segment makes of that one
+  // record (header, image, index and trailer), so segment_bytes is the
+  // images plus their headers and footers and nothing else.
+  const std::string dir = scratch_dir("onewrite");
+  persist::PersistOptions options;
+  options.shards = 1;
+  ChunkedCapture summary = ChunkedCapture::encode(make_capture(37, 3000));
+  summary.drop_raw();
+  const ChunkedCapture captures[] = {
+      ChunkedCapture::encode(make_capture(36, 9000)), summary,
+      ChunkedCapture::encode(make_capture(38, 100), 7)};
+  persist::PersistEngine engine{dir, options};
+  ASSERT_TRUE(engine.open().ok());
+  std::vector<std::string> expected;
+  std::uint64_t expected_bytes = 0;
+  for (std::uint64_t i = 0; i < std::size(captures); ++i) {
+    const CaptureId id{"vp-" + std::to_string(i), i + 1};
+    const TimePoint at = TimePoint::from_micros(1000 * (i + 1));
+    ASSERT_TRUE(engine.append(id, "DEV", at, captures[i]).ok());
+    const std::uint8_t tier = captures[i].raw_available()
+                                  ? persist::kTierRaw
+                                  : persist::kTierSummary;
+    expected.push_back(persist::build_segment(
+        tier, {{id, "DEV", at, std::string{captures[i].serialize()}}}));
+    expected_bytes += expected.back().size();
+  }
+  EXPECT_EQ(engine.stats().wal_appends, 0u);
+  EXPECT_EQ(engine.stats().wal_bytes, 0u);
+  EXPECT_EQ(engine.stats().checkpoints, 0u);
+  EXPECT_EQ(engine.stats().segment_flushes, std::size(captures));
+  EXPECT_EQ(engine.stats().segment_bytes, expected_bytes);
+  // Segment numbers follow append order: seg-r-1, seg-s-2, seg-r-3.
+  const fs::path shard = fs::path{dir} / "shard-000";
+  EXPECT_TRUE(read_all(shard / "seg-r-1.blsg") == expected[0]);
+  EXPECT_TRUE(read_all(shard / "seg-s-2.blsg") == expected[1]);
+  EXPECT_TRUE(read_all(shard / "seg-r-3.blsg") == expected[2]);
+  EXPECT_EQ(files_with_prefix(dir, "seg-").size(), std::size(captures));
+  EXPECT_FALSE(fs::exists(shard / "wal.log"));
+  // Each append installed a manifest; only it and its predecessor remain.
+  EXPECT_EQ(files_with_prefix(dir, "manifest-"),
+            (std::vector<std::string>{"manifest-2", "manifest-3"}));
+  const auto info = engine.info({"vp-1", 2});
+  ASSERT_TRUE(info.has_value());
+  EXPECT_TRUE(info->raw_dropped);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, FailedAppendLeavesNoEntryAndItsFileIsCollected) {
+  // An append is all or nothing. A directory squatting on the temp path
+  // makes the segment write fail, then the manifest install: neither
+  // failure may leave an index or catalog entry, and the segment the
+  // second one left behind is garbage at the next open.
+  const std::string dir = scratch_dir("failappend");
+  persist::PersistOptions options;
+  options.shards = 1;
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(39, 300));
+  const fs::path shard = fs::path{dir} / "shard-000";
+  {
+    persist::PersistEngine engine{dir, options};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
+                    .ok());
+    fs::create_directory(shard / "seg-r-2.blsg.tmp");
+    EXPECT_FALSE(
+        engine.append({"vp-a", 2}, "DEV", TimePoint::epoch(), cc).ok());
+    EXPECT_FALSE(engine.contains({"vp-a", 2}));
+    fs::create_directory(fs::path{dir} / "manifest-2.tmp");
+    EXPECT_FALSE(
+        engine.append({"vp-a", 3}, "DEV", TimePoint::epoch(), cc).ok());
+    EXPECT_FALSE(engine.contains({"vp-a", 3}));
+    EXPECT_TRUE(fs::exists(shard / "seg-r-3.blsg"));  // renamed, unlisted
+    EXPECT_EQ(engine.size(), 1u);
+    EXPECT_EQ(engine.next_seq(), 2u);
+    fs::remove(fs::path{dir} / "manifest-2.tmp");
+    // The next append commits a manifest without the failed segment.
+    ASSERT_TRUE(engine.append({"vp-a", 4}, "DEV", TimePoint::epoch(), cc)
+                    .ok());
+  }
+  persist::PersistEngine engine{dir, options};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_EQ(engine.size(), 2u);
+  EXPECT_TRUE(engine.contains({"vp-a", 1}));
+  EXPECT_TRUE(engine.contains({"vp-a", 4}));
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            (std::vector<std::string>{"seg-r-1.blsg", "seg-r-4.blsg"}));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, CrashBetweenSegmentRenameAndManifestInstall) {
+  // A crash after an append renamed its segment but before its manifest
+  // was installed leaves a well-formed segment no manifest lists. It was
+  // never acknowledged: open() deletes it and indexes nothing from it.
+  const std::string dir = scratch_dir("unlisted");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(40, 200));
+  fs::path orphan;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
+                    .ok());
+    orphan = shard_dir(dir, engine, "vp-ghost") / "seg-r-99.blsg";
+  }
+  {
+    std::ofstream out{orphan, std::ios::binary};
+    const std::string image = persist::build_segment(
+        persist::kTierRaw, {{{"vp-ghost", 7}, "DEV", TimePoint::epoch(),
+                             std::string{cc.serialize()}}});
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_FALSE(engine.contains({"vp-ghost", 7}));
+  EXPECT_EQ(engine.size(), 1u);
+  EXPECT_EQ(engine.next_seq(), 2u);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, OpenCollectsTmpLeftovers) {
+  // A crash between a temp write and its rename leaves <file>.tmp behind,
+  // in a shard directory (segments) or at the root (manifests). open()
+  // removes both kinds, so disk usage no longer counts them.
+  const std::string dir = scratch_dir("tmpgc");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(41, 200));
+  std::uint64_t usage = 0;
+  fs::path segment_tmp;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
+                    .ok());
+    usage = engine.disk_usage_bytes();
+    segment_tmp = shard_dir(dir, engine, "vp-a") / "seg-r-2.blsg.tmp";
+  }
+  const fs::path manifest_tmp = fs::path{dir} / "manifest-2.tmp";
+  for (const fs::path& path : {segment_tmp, manifest_tmp}) {
+    std::ofstream out{path, std::ios::binary};
+    out << std::string(4096, 'x');
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_FALSE(fs::exists(segment_tmp));
+  EXPECT_FALSE(fs::exists(manifest_tmp));
+  EXPECT_EQ(engine.disk_usage_bytes(), usage);
+  EXPECT_TRUE(engine.contains({"vp-a", 1}));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(PersistEngine, WalHoldsExactlyTheAppendedFramesAndReplays) {
-  // Appends journal the capture image by reference with a combined frame
-  // CRC; the file must still be, byte for byte, the frames
-  // append_wal_record builds from whole records.
+  // Only drop-raw and erase notes reach the WAL: the file must be, byte
+  // for byte, the frames append_wal_record builds for them, and replaying
+  // them over the appends' segments must restore the store.
   const std::string dir = scratch_dir("wal-bytes");
   persist::PersistOptions options;
   options.shards = 1;
-  options.wal_checkpoint_bytes = std::size_t{1} << 40;  // never checkpoint
   const ChunkedCapture raw = ChunkedCapture::encode(make_capture(31, 9000));
   ChunkedCapture summary = ChunkedCapture::encode(make_capture(32, 5000));
   summary.drop_raw();
@@ -505,16 +648,8 @@ TEST(PersistEngine, WalHoldsExactlyTheAppendedFramesAndReplays) {
   raw_dropped.drop_raw();
 
   std::string expected;
-  const auto frame = [&](persist::WalOp op, const CaptureId& id,
-                         const std::string& name, TimePoint at,
-                         const ChunkedCapture* cc) {
-    persist::WalRecord record;
-    record.op = op;
-    record.id = id;
-    record.name = name;
-    record.stored_at = at;
-    if (cc != nullptr) record.capture = cc->serialize();
-    persist::append_wal_record(expected, record);
+  const auto frame = [&](persist::WalOp op, const CaptureId& id) {
+    persist::append_wal_record(expected, persist::WalRecord{op, id});
   };
   {
     persist::PersistEngine engine{dir, options};
@@ -523,24 +658,19 @@ TEST(PersistEngine, WalHoldsExactlyTheAppendedFramesAndReplays) {
     const TimePoint t2 = TimePoint::from_micros(2'000'000);
     const TimePoint t3 = TimePoint::from_micros(3'000'000);
     ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV-1", t1, raw).ok());
-    frame(persist::WalOp::kAppend, {"vp-a", 1}, "DEV-1", t1, &raw);
     ASSERT_TRUE(engine.append({"vp-b", 2}, "DEV-2", t2, summary).ok());
-    frame(persist::WalOp::kAppend, {"vp-b", 2}, "DEV-2", t2, &summary);
     ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());
-    frame(persist::WalOp::kDropRaw, {"vp-a", 1}, "", TimePoint::epoch(),
-          nullptr);
+    frame(persist::WalOp::kDropRaw, {"vp-a", 1});
     ASSERT_TRUE(engine.append({"vp-a", 3}, "", t3, small).ok());
-    frame(persist::WalOp::kAppend, {"vp-a", 3}, "", t3, &small);
+    ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());  // dropped: no frame
+    ASSERT_TRUE(engine.note_drop_raw({"vp-b", 2}).ok());  // summary: no frame
     ASSERT_TRUE(engine.note_erase({"vp-b", 2}).ok());
-    frame(persist::WalOp::kErase, {"vp-b", 2}, "", TimePoint::epoch(),
-          nullptr);
+    frame(persist::WalOp::kErase, {"vp-b", 2});
     ASSERT_TRUE(engine.note_erase({"vp-z", 9}).ok());  // unknown: no frame
-    EXPECT_EQ(engine.stats().wal_appends, 5u);
+    EXPECT_EQ(engine.stats().wal_appends, 2u);
     EXPECT_EQ(engine.stats().wal_bytes, expected.size());
   }
-  std::ifstream in{dir + "/shard-000/wal.log", std::ios::binary};
-  const std::string wal{std::istreambuf_iterator<char>{in},
-                        std::istreambuf_iterator<char>{}};
+  const std::string wal = read_all(fs::path{dir} / "shard-000" / "wal.log");
   EXPECT_TRUE(wal == expected) << "wal.log " << wal.size()
                                << " B, frames " << expected.size() << " B";
 
@@ -603,12 +733,16 @@ TEST(PersistEngine, CheckpointCausesAreCountedAndLabeled) {
   blab::obs::MetricsRegistry registry;
   engine.attach_metrics(&registry);
 
+  // Each checkpoint has a note to fold; one with nothing to do is not run.
   ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::from_micros(1), cc)
                   .ok());
+  ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());
   ASSERT_TRUE(engine.checkpoint(persist::CheckpointCause::kScheduled).ok());
   ASSERT_TRUE(engine.append({"vp-a", 2}, "DEV", TimePoint::from_micros(2), cc)
                   .ok());
+  ASSERT_TRUE(engine.note_erase({"vp-a", 2}).ok());
   ASSERT_TRUE(engine.checkpoint().ok());  // default: manual
+  ASSERT_TRUE(engine.checkpoint().ok());  // nothing to fold
 
   const auto& by_cause = engine.stats().checkpoints_by_cause;
   EXPECT_EQ(by_cause[static_cast<std::size_t>(
@@ -667,43 +801,50 @@ TEST(PersistEngine, ScanCatalogVisitsWindowAscendingById) {
 }
 
 TEST(PersistEngine, CrashBetweenWalAndCheckpointReplaysIdempotently) {
+  // A crash between a checkpoint's manifest install and its WAL truncation
+  // leaves notes the installed manifest has already folded. Replaying them
+  // must change nothing.
   const std::string dir = scratch_dir("idem");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(33, 200));
+  ChunkedCapture summary = cc;
+  summary.drop_raw();
+  std::string wal;
+  fs::path wal_path;
   {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
-    ASSERT_TRUE(engine
-                    .append({"vp-x", 1}, "DEV",
-                            TimePoint::from_micros(500), cc)
-                    .ok());
+    for (std::uint64_t seq = 1; seq <= 2; ++seq) {
+      ASSERT_TRUE(engine
+                      .append({"vp-x", seq}, "DEV",
+                              TimePoint::from_micros(500), cc)
+                      .ok());
+    }
+    ASSERT_TRUE(engine.note_drop_raw({"vp-x", 1}).ok());
+    ASSERT_TRUE(engine.note_erase({"vp-x", 2}).ok());
+    wal_path = shard_dir(dir, engine, "vp-x") / "wal.log";
+    wal = read_all(wal_path);
+    ASSERT_FALSE(wal.empty());
     ASSERT_TRUE(engine.checkpoint().ok());
+    EXPECT_EQ(fs::file_size(wal_path), 0u);
   }
-  // Simulate "crash between manifest install and WAL truncation": re-append
-  // the same record to the WAL behind the engine's back.
+  // Put the folded notes back, as if the truncation never happened.
   {
-    persist::PersistEngine probe{dir};
-    ASSERT_TRUE(probe.open().ok());
-    const std::size_t shard = probe.shard_of("vp-x");
-    char name[32];
-    std::snprintf(name, sizeof name, "shard-%03zu", shard);
-    persist::WalRecord dup;
-    dup.op = persist::WalOp::kAppend;
-    dup.id = {"vp-x", 1};
-    dup.name = "DEV";
-    dup.stored_at = TimePoint::from_micros(500);
-    dup.capture = cc.serialize();
-    std::string frame;
-    persist::append_wal_record(frame, dup);
-    std::ofstream out{fs::path{dir} / name / "wal.log",
-                      std::ios::binary | std::ios::app};
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    std::ofstream out{wal_path, std::ios::binary | std::ios::trunc};
+    out.write(wal.data(), static_cast<std::streamsize>(wal.size()));
   }
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
-  EXPECT_EQ(engine.size(), 1u);  // the duplicate replay was a no-op
+  EXPECT_EQ(engine.size(), 1u);
+  EXPECT_FALSE(engine.contains({"vp-x", 2}));
+  EXPECT_EQ(engine.next_seq(), 3u);
   auto loaded = engine.load({"vp-x", 1});
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().serialize(), cc.serialize());
+  EXPECT_EQ(loaded.value().serialize(), summary.serialize());
+  // The replayed notes dirtied nothing: folding them rewrites no segment.
+  const auto compactions = engine.stats().compactions;
+  ASSERT_TRUE(engine.checkpoint().ok());
+  EXPECT_EQ(engine.stats().compactions, compactions);
+  EXPECT_EQ(fs::file_size(wal_path), 0u);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -757,64 +898,56 @@ TEST(PersistEngine, CorruptSegmentTrailerDropsOnlyThatSegment) {
   fs::remove_all(dir, ec);
 }
 
-TEST(PersistEngine, CorruptWalCaptureFailsLoadAndCheckpoint) {
-  // A capture still in the WAL is checked on both read-backs, load() and
-  // the checkpoint that would seal it into a segment, against the CRC its
-  // index entry recorded at append or at WAL replay. Raw-dropped captures
-  // take the checkpoint's demotion path, so both kinds are covered. The
-  // failed checkpoint writes no segment or manifest and keeps the WAL.
+TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
+  // A byte flipped inside a raw segment's capture, after the append wrote
+  // it, is caught on both read-backs against the CRC its index entry
+  // recorded: load() and the checkpoint that would demote it into a
+  // summary segment. The failed checkpoint installs no manifest, writes
+  // no segment and keeps the WAL. Appended and recovered entries both.
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(35, 400));
   const std::size_t capture_size = cc.serialize().size();
   const CaptureId id{"vp-a", 1};
-  for (const bool replayed : {false, true}) {
-    for (const bool raw_dropped : {false, true}) {
-      SCOPED_TRACE(std::string{replayed ? "replayed" : "appended"} +
-                   (raw_dropped ? ", raw dropped" : ", raw kept"));
-      const std::string dir = scratch_dir("walcrc");
-      auto engine = std::make_unique<persist::PersistEngine>(dir);
+  for (const bool recovered : {false, true}) {
+    SCOPED_TRACE(recovered ? "recovered" : "appended");
+    const std::string dir = scratch_dir("segcrc");
+    auto engine = std::make_unique<persist::PersistEngine>(dir);
+    ASSERT_TRUE(engine->open().ok());
+    ASSERT_TRUE(
+        engine->append(id, "DEV", TimePoint::from_micros(100), cc).ok());
+    const fs::path shard = shard_dir(dir, *engine, id.workspace);
+    const fs::path segment = shard / "seg-r-1.blsg";
+    ASSERT_TRUE(fs::exists(segment));
+    if (recovered) {
+      engine = std::make_unique<persist::PersistEngine>(dir);
       ASSERT_TRUE(engine->open().ok());
-      ASSERT_TRUE(
-          engine->append(id, "DEV", TimePoint::from_micros(100), cc).ok());
-      char name[32];
-      std::snprintf(name, sizeof name, "shard-%03zu",
-                    engine->shard_of(id.workspace));
-      const fs::path wal = fs::path{dir} / name / "wal.log";
-      // The capture bytes end the shard's first and only append frame.
-      const auto flip_at =
-          static_cast<std::streamoff>(fs::file_size(wal) - capture_size / 2);
-      if (raw_dropped) {
-        ASSERT_TRUE(engine->note_drop_raw(id).ok());
-      }
-      if (replayed) {
-        engine = std::make_unique<persist::PersistEngine>(dir);
-        ASSERT_TRUE(engine->open().ok());
-      }
-      ASSERT_TRUE(engine->load(id).ok());
-      {
-        std::fstream f{wal, std::ios::binary | std::ios::in | std::ios::out};
-        f.seekg(flip_at);
-        const int byte = f.get();
-        f.seekp(flip_at);
-        f.put(static_cast<char>(byte ^ 0x40));
-      }
-      const auto wal_size = fs::file_size(wal);
-
-      const auto loaded = engine->load(id);
-      ASSERT_FALSE(loaded.ok());
-      EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
-      const auto st = engine->checkpoint();
-      ASSERT_FALSE(st.ok());
-      EXPECT_EQ(st.error().code, blab::util::ErrorCode::kUnavailable);
-      EXPECT_EQ(fs::file_size(wal), wal_size);
-      for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-        const std::string file = entry.path().filename().string();
-        EXPECT_NE(file.rfind("manifest-", 0), 0u) << file;
-        EXPECT_NE(entry.path().extension(), ".blsg") << file;
-      }
-      engine.reset();
-      std::error_code ec;
-      fs::remove_all(dir, ec);
     }
+    ASSERT_TRUE(engine->load(id).ok());
+    {
+      const auto flip_at = static_cast<std::streamoff>(
+          persist::kSegmentHeaderBytes + capture_size / 2);
+      std::fstream f{segment, std::ios::binary | std::ios::in | std::ios::out};
+      f.seekg(flip_at);
+      const int byte = f.get();
+      f.seekp(flip_at);
+      f.put(static_cast<char>(byte ^ 0x40));
+    }
+
+    const auto loaded = engine->load(id);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
+    ASSERT_TRUE(engine->note_drop_raw(id).ok());
+    const auto wal_size = fs::file_size(shard / "wal.log");
+    const auto manifests = files_with_prefix(dir, "manifest-");
+    const auto st = engine->checkpoint();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, blab::util::ErrorCode::kUnavailable);
+    EXPECT_EQ(fs::file_size(shard / "wal.log"), wal_size);
+    EXPECT_EQ(files_with_prefix(dir, "manifest-"), manifests);
+    EXPECT_EQ(files_with_prefix(dir, "seg-"),
+              std::vector<std::string>{"seg-r-1.blsg"});
+    engine.reset();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
   }
 }
 
