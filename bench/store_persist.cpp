@@ -1,6 +1,6 @@
 // Persistent capture store bench: append throughput, cold-query
-// throughput after a restart, and crash-recovery speed (open() over a
-// populated directory).
+// throughput after a restart, crash-recovery speed (open() over a
+// populated directory), and one retention pass that erases and demotes.
 //
 // Emits one JSON object on stdout so CI can diff the numbers; exits
 // non-zero if correctness floors are missed (recovery must index every
@@ -89,13 +89,10 @@ int main() {
     }
     append_s = std::min(append_s, seconds_since(t0));
     if (r == 0) {
-      // A second batch after a checkpoint, so the directory recovery opens
-      // holds twice the records.
-      if (auto ck = engine.checkpoint(); !ck.ok()) {
-        throw std::runtime_error{"checkpoint failed: " + ck.str()};
-      }
+      // A second batch, so the directory recovery opens holds twice the
+      // records.
       for (std::size_t i = 0; i < kCaptures; ++i) {
-        st.append("vp-" + std::to_string(i % 4), "bench-wal", captures[i],
+        st.append("vp-" + std::to_string(i % 4), "bench", captures[i],
                   util::TimePoint::epoch() +
                       util::Duration::seconds(
                           static_cast<std::int64_t>(kCaptures + i)));
@@ -158,6 +155,50 @@ int main() {
     return 1;
   }
 
+  // -- one retention pass (erase + drop + demote) ---------------------------
+  // A quarter of the captures are past the summary TTL and erased, half are
+  // past the raw TTL and demoted into summary segments, the rest stay raw.
+  // Best of kRounds, each on a fresh directory.
+  const store::RetentionPolicy policy;
+  const util::TimePoint retention_at =
+      util::TimePoint::epoch() + policy.summary_ttl + util::Duration::minutes(10);
+  const auto stored_at = [&](std::size_t i) {
+    if (i < kCaptures / 4) return util::TimePoint::epoch();
+    if (i < 3 * kCaptures / 4) return retention_at - policy.raw_ttl * 4.0;
+    return retention_at - policy.raw_ttl * 0.5;
+  };
+  double retention_s = 1e9;
+  std::size_t retention_records = 0;
+  store::persist::PersistStats retention0;
+  store::persist::PersistStats retention1;
+  for (int r = 0; r < kRounds; ++r) {
+    const std::string retention_dir = dir + "-retention";
+    std::filesystem::remove_all(retention_dir);
+    store::persist::PersistEngine engine{retention_dir};
+    if (auto st = engine.open(); !st.ok()) {
+      throw std::runtime_error{"retention open failed: " + st.str()};
+    }
+    store::CaptureStore st{policy};
+    st.attach_persistence(&engine);
+    for (std::size_t i = 0; i < kCaptures; ++i) {
+      st.append("vp-" + std::to_string(i % 4), "bench", captures[i],
+                stored_at(i));
+    }
+    retention0 = engine.stats();
+    const auto t0 = std::chrono::steady_clock::now();
+    retention_records = st.run_retention(retention_at);
+    retention_s = std::min(retention_s, seconds_since(t0));
+    retention1 = engine.stats();
+    std::filesystem::remove_all(retention_dir);
+  }
+  if (retention_records != 3 * kCaptures / 4 ||
+      retention1.demotions - retention0.demotions != kCaptures / 2) {
+    std::cerr << "FAIL: retention touched " << retention_records
+              << " records and demoted "
+              << retention1.demotions - retention0.demotions << "\n";
+    return 1;
+  }
+
   std::cout << "{\n";
   emit(std::cout, "samples_per_capture", static_cast<double>(kSamples));
   emit(std::cout, "captures", static_cast<double>(kCaptures));
@@ -169,7 +210,18 @@ int main() {
   emit(std::cout, "recovered_records", static_cast<double>(recovered));
   emit(std::cout, "disk_bytes", static_cast<double>(disk_bytes));
   emit(std::cout, "disk_bytes_per_sample",
-       static_cast<double>(disk_bytes) / (2.0 * total_samples),
+       static_cast<double>(disk_bytes) / (2.0 * total_samples));
+  emit(std::cout, "persist_retention_records_per_s",
+       static_cast<double>(retention_records) / retention_s);
+  emit(std::cout, "retention_segments_written",
+       static_cast<double>(retention1.segment_flushes -
+                           retention0.segment_flushes));
+  emit(std::cout, "retention_segments_deleted",
+       static_cast<double>(retention1.segments_deleted -
+                           retention0.segments_deleted));
+  emit(std::cout, "retention_manifest_installs",
+       static_cast<double>(retention1.manifest_installs -
+                           retention0.manifest_installs),
        /*last=*/true);
   std::cout << "}\n";
 

@@ -3,7 +3,7 @@
 // Most seeds under tests/fuzz_corpus/ are tiny hand-written byte strings
 // (bad magics, overlong varints, truncated escapes) that never go stale.
 // The exceptions are the seeds that are images of the persist formats
-// (WAL, segment, manifest), which a format change rewrites, and the seeds
+// (segment, manifest), which a format change rewrites, and the seeds
 // that embed *real* encoded captures — segment images whose payloads are
 // serialized ChunkedCaptures, and codec seeds carrying canonical sample
 // streams. Those samples come from the repo's own noise sampler, so a
@@ -26,12 +26,10 @@
 // Regenerated seeds (everything else is left untouched):
 //   store_codec_fuzz/roundtrip_seed   mode 0: canonical encoded stream
 //   store_codec_fuzz/flip_seed        mode 3: capture + one-byte corruption
-//   persist_fuzz/wal_valid            mode 0: committed WAL of notes
-//   persist_fuzz/wal_torn_tail        mode 0: same image, torn final frame
-//   persist_fuzz/segment_valid        mode 2: raw-tier segment image
-//   persist_fuzz/segment_summary      mode 2: summary-tier segment image
-//   persist_fuzz/segment_payload_corrupt  mode 2: valid index, bad payload
-//   persist_fuzz/manifest_valid       mode 3: canonical manifest image
+//   persist_fuzz/segment_valid        mode 0: raw-tier segment image
+//   persist_fuzz/segment_summary      mode 0: summary-tier segment image
+//   persist_fuzz/segment_payload_corrupt  mode 0: valid index, bad payload
+//   persist_fuzz/manifest_valid       mode 1: canonical manifest image
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -131,28 +129,7 @@ int main(int argc, char** argv) {
     ok &= write_file(root + "/store_codec_fuzz/flip_seed", seed);
   }
 
-  // persist_fuzz WAL seeds — a committed journal of notes: raw purges and
-  // erases. wal_valid replays all four; wal_torn_tail cuts into the final
-  // frame, so replay must keep the exact three-note prefix and report the
-  // tail as dropped.
-  {
-    std::string image;
-    persist::append_wal_record(image, {persist::WalOp::kDropRaw,
-                                       {"vp-oslo", 3}});
-    persist::append_wal_record(image, {persist::WalOp::kDropRaw,
-                                       {"vp-turin", 4}});
-    persist::append_wal_record(image, {persist::WalOp::kErase,
-                                       {"vp-oslo", 3}});
-    persist::append_wal_record(image, {persist::WalOp::kErase,
-                                       {"vp-turin", 4}});
-    ok &= write_file(root + "/persist_fuzz/wal_valid",
-                     std::string{"\x00", 1} + image);
-    ok &= write_file(root + "/persist_fuzz/wal_torn_tail",
-                     std::string{"\x00", 1} +
-                         image.substr(0, image.size() - 5));
-  }
-
-  // persist_fuzz segment seeds — mode 2 with an odd selector byte routes
+  // persist_fuzz segment seeds — mode 0 with an odd selector byte routes
   // the rest through parse_segment_index as an arbitrary image.
   {
     std::vector<persist::SegmentRecord> records;
@@ -171,7 +148,7 @@ int main(int argc, char** argv) {
 
     const std::string raw = persist::build_segment(persist::kTierRaw, records);
     ok &= write_file(root + "/persist_fuzz/segment_valid",
-                     std::string{"\x02\x01"} + raw);
+                     std::string{"\x00\x01", 2} + raw);
 
     std::vector<persist::SegmentRecord> summaries = records;
     for (persist::SegmentRecord& r : summaries) {
@@ -182,7 +159,7 @@ int main(int argc, char** argv) {
     }
     ok &= write_file(
         root + "/persist_fuzz/segment_summary",
-        std::string{"\x02\x01"} +
+        std::string{"\x00\x01", 2} +
             persist::build_segment(persist::kTierSummary, summaries));
 
     // Valid index over a corrupt payload: the index CRC seals only the
@@ -193,20 +170,21 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(parsed.value().entries.front().offset) + 9;
     corrupt[payload_pos] = static_cast<char>(corrupt[payload_pos] ^ 0x40);
     ok &= write_file(root + "/persist_fuzz/segment_payload_corrupt",
-                     std::string{"\x02\x01"} + corrupt);
+                     std::string{"\x00\x01", 2} + corrupt);
   }
 
-  // persist_fuzz/manifest_valid — mode 3, odd selector: canonical manifest.
+  // persist_fuzz/manifest_valid — mode 1, odd selector: canonical manifest.
+  // Its first segment is a raw file whose capture is already summary (a
+  // committed drop awaiting demotion).
   {
     persist::Manifest manifest;
     manifest.version = 4;
     manifest.next_seq = 17;
-    manifest.shards.resize(3);
-    manifest.shards[0].push_back({"seg-r-1.blsg", persist::kTierRaw});
-    manifest.shards[0].push_back({"seg-s-2.blsg", persist::kTierSummary});
-    manifest.shards[2].push_back({"seg-r-3.blsg", persist::kTierRaw});
+    manifest.segments.push_back({"seg-r-1.blsg", persist::kTierSummary});
+    manifest.segments.push_back({"seg-s-2.blsg", persist::kTierSummary});
+    manifest.segments.push_back({"seg-r-3.blsg", persist::kTierRaw});
     ok &= write_file(root + "/persist_fuzz/manifest_valid",
-                     std::string{"\x03\x01"} +
+                     std::string{"\x01\x01"} +
                          persist::encode_manifest(manifest));
   }
 

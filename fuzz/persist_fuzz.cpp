@@ -1,23 +1,17 @@
-// Fuzz target: the persistent capture store's wire formats — WAL note
-// framing, segment index/trailer parsing, and the versioned manifest.
+// Fuzz target: the persistent capture store's wire formats — segment
+// index/trailer parsing and the versioned manifest.
 //
 // Modes (first input byte):
-//   0: arbitrary bytes through parse_wal; the replay must account for every
-//      byte (clean + dropped == size) and re-encoding the recovered notes
-//      must reproduce the committed prefix byte-identically. The same bytes
-//      also check the crc32c() implementation selected for this CPU against
-//      the table reference, whole and chained across a split;
-//   1: structured WAL — build notes from the input, then truncate or
-//      byte-flip the image; recovery must yield an exact prefix of the
-//      originals, never a note that was not written;
-//   2: arbitrary bytes through parse_segment_index; accepted images must
+//   0: arbitrary bytes through parse_segment_index; accepted images must
 //      have a dense, in-bounds index, per-entry CRCs must police every
 //      payload slice, and when all payloads checksum, rebuilding from the
-//      parsed entries must be byte-identical. Also a structured
+//      parsed entries must be byte-identical. The same bytes also check the
+//      crc32c() implementation selected for this CPU against the table
+//      reference, whole and chained across a split. Also a structured
 //      build/parse round-trip, in which the image must equal its header,
 //      payloads and separately built footer back to back (the engine
 //      writes segments that way);
-//   3: arbitrary bytes through parse_manifest; accepted manifests must
+//   1: arbitrary bytes through parse_manifest; accepted manifests must
 //      re-encode byte-identically (canonical format). Also a structured
 //      round-trip with a corruption pass.
 #include <string>
@@ -34,78 +28,25 @@ namespace {
 namespace persist = blab::store::persist;
 using blab::util::TimePoint;
 
-persist::WalRecord make_record(blab::fuzz::FuzzInput& in) {
-  persist::WalRecord record;
-  record.op = (in.u8() & 1) ? persist::WalOp::kErase : persist::WalOp::kDropRaw;
-  record.id.workspace = "ws-" + std::to_string(in.u8() % 8);
-  record.id.seq = in.u16();
-  return record;
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   blab::fuzz::FuzzInput in{data, size};
-  switch (in.u8() % 4) {
+  switch (in.u8() % 2) {
     case 0: {
-      const std::string bytes{in.rest()};
-      const persist::WalReplay replay = persist::parse_wal(bytes);
-      FUZZ_ASSERT(replay.clean_bytes + replay.dropped_bytes == bytes.size());
-      FUZZ_ASSERT(replay.clean_bytes <= bytes.size());
-      // Canonical framing: what parsed back is exactly what the committed
-      // prefix encodes.
-      std::string reencoded;
-      for (const persist::WalRecord& r : replay.records) {
-        persist::append_wal_record(reencoded, r);
-      }
-      FUZZ_ASSERT(reencoded == bytes.substr(0, replay.clean_bytes));
-      // Differential CRC check. The split point comes from the reference
-      // CRC, so no input byte is spent on it and the corpus keeps its
-      // meaning.
-      const std::string_view view{bytes};
-      const std::uint32_t reference = persist::detail::crc32c_table(view);
-      FUZZ_ASSERT(persist::crc32c(view) == reference);
-      const std::size_t split = reference % (view.size() + 1);
-      FUZZ_ASSERT(persist::crc32c(view.substr(split),
-                                  persist::crc32c(view.substr(0, split))) ==
-                  reference);
-      break;
-    }
-    case 1: {
-      const std::size_t count = 1 + in.u8() % 6;
-      std::vector<persist::WalRecord> originals;
-      std::string image;
-      for (std::size_t i = 0; i < count; ++i) {
-        originals.push_back(make_record(in));
-        persist::append_wal_record(image, originals.back());
-      }
-      {
-        const persist::WalReplay replay = persist::parse_wal(image);
-        FUZZ_ASSERT(replay.records.size() == originals.size());
-        FUZZ_ASSERT(replay.dropped_bytes == 0);
-        for (std::size_t i = 0; i < originals.size(); ++i) {
-          FUZZ_ASSERT(replay.records[i] == originals[i]);
-        }
-      }
-      // Torn write: cut or flip anywhere. Recovery keeps an exact prefix.
-      std::string tampered = image;
-      if (in.u8() & 1) {
-        tampered.resize(in.u64() % (tampered.size() + 1));
-      } else if (!tampered.empty()) {
-        tampered[in.u64() % tampered.size()] ^=
-            static_cast<char>(in.u8() | 1);
-      }
-      const persist::WalReplay replay = persist::parse_wal(tampered);
-      FUZZ_ASSERT(replay.records.size() <= originals.size());
-      for (std::size_t i = 0; i < replay.records.size(); ++i) {
-        FUZZ_ASSERT(replay.records[i] == originals[i]);
-      }
-      break;
-    }
-    case 2: {
       if (in.u8() & 1) {
         const std::string bytes{in.rest()};
+        // Differential CRC check. The split point comes from the reference
+        // CRC, so no input byte is spent on it and the corpus keeps its
+        // meaning.
+        const std::string_view view{bytes};
+        const std::uint32_t reference = persist::detail::crc32c_table(view);
+        FUZZ_ASSERT(persist::crc32c(view) == reference);
+        const std::size_t split = reference % (view.size() + 1);
+        FUZZ_ASSERT(persist::crc32c(view.substr(split),
+                                    persist::crc32c(view.substr(0, split))) ==
+                    reference);
         const auto parsed = persist::parse_segment_index(bytes);
         if (parsed.ok()) {
           // The index CRC seals only the index region: an image can carry a
@@ -186,30 +127,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       }
       break;
     }
-    case 3: {
+    case 1: {
       if (in.u8() & 1) {
         const std::string bytes{in.rest()};
         const auto parsed = persist::parse_manifest(bytes);
         if (parsed.ok()) {
           FUZZ_ASSERT(persist::encode_manifest(parsed.value()) == bytes);
-          FUZZ_ASSERT(parsed.value().shards.size() <=
-                      persist::kMaxManifestShards);
         }
         break;
       }
       persist::Manifest manifest;
       manifest.version = in.u32();
       manifest.next_seq = in.u32();
-      const std::size_t shards = in.u8() % 8;
-      for (std::size_t s = 0; s < shards; ++s) {
-        std::vector<persist::ManifestSegment> segs;
-        const std::size_t count = in.u8() % 4;
-        for (std::size_t i = 0; i < count; ++i) {
-          segs.push_back({in.bytes(in.u8() % 20),
-                          (in.u8() & 1) ? persist::kTierSummary
-                                        : persist::kTierRaw});
-        }
-        manifest.shards.push_back(std::move(segs));
+      const std::size_t count = in.u8() % 16;
+      for (std::size_t i = 0; i < count; ++i) {
+        manifest.segments.push_back(
+            {in.bytes(in.u8() % 20),
+             (in.u8() & 1) ? persist::kTierSummary : persist::kTierRaw});
       }
       std::string image = persist::encode_manifest(manifest);
       const auto parsed = persist::parse_manifest(image);

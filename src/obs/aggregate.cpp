@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "util/strings.hpp"
+
 namespace blab::obs {
 namespace {
 
@@ -124,25 +126,12 @@ void attribute(const SpanRecord* s, std::int64_t lo, std::int64_t hi,
   if (hi > cursor) own += hi - cursor;
 }
 
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void encode_node(std::string& out, const FlameNode& node) {
-  out += "{\"component\":" + json_string(node.component) +
-         ",\"name\":" + json_string(node.name) +
-         ",\"count\":" + std::to_string(node.count) +
+  out += "{\"component\":";
+  util::append_json_string(out, node.component);
+  out += ",\"name\":";
+  util::append_json_string(out, node.name);
+  out += ",\"count\":" + std::to_string(node.count) +
          ",\"total_us\":" + std::to_string(node.total_us) +
          ",\"self_us\":" + std::to_string(node.self_us) + ",\"children\":[";
   bool sep = false;
@@ -253,12 +242,14 @@ std::string encode_flame_json(const FlameNode& root,
   for (const CriticalPath& path : paths) {
     if (sep) out += ',';
     sep = true;
-    out += "{\"trace\":" + std::to_string(path.trace) +
-           ",\"job\":" + json_string(path.job) +
-           ",\"total_us\":" + std::to_string(path.total_us) + ",\"segments\":{";
+    out += "{\"trace\":" + std::to_string(path.trace) + ",\"job\":";
+    util::append_json_string(out, path.job);
+    out += ",\"total_us\":" + std::to_string(path.total_us) +
+           ",\"segments\":{";
     for (std::size_t i = 0; i < kPathSegmentCount; ++i) {
       if (i > 0) out += ',';
-      out += json_string(path_segment_name(static_cast<PathSegment>(i)));
+      util::append_json_string(
+          out, path_segment_name(static_cast<PathSegment>(i)));
       out += ':' + std::to_string(path.segment_us[i]);
     }
     out += "}}";

@@ -19,17 +19,28 @@ const char* kind_name(MetricKind kind) {
   return "?";
 }
 
+/// Append `key="value"`, the value escaped as the exposition format asks.
+void append_label(std::string& out, std::string_view key,
+                  std::string_view value) {
+  out += key;
+  out += "=\"";
+  for (const char c : value) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  out += '"';
+}
+
 std::string render_labels(const Labels& labels) {
   if (labels.empty()) return "";
   std::string out = "{";
-  bool sep = false;
   for (const Label& l : labels) {
-    if (sep) out += ',';
-    sep = true;
-    out += l.key;
-    out += "=\"";
-    out += l.value;
-    out += '"';
+    if (out.size() > 1) out += ',';
+    append_label(out, l.key, l.value);
   }
   out += '}';
   return out;
@@ -37,41 +48,24 @@ std::string render_labels(const Labels& labels) {
 
 std::string render_labels_with(const Labels& labels, std::string_view key,
                                std::string_view value) {
-  std::string out = "{";
-  bool sep = false;
-  for (const Label& l : labels) {
-    if (sep) out += ',';
-    sep = true;
-    out += l.key;
-    out += "=\"";
-    out += l.value;
-    out += '"';
+  std::string out = render_labels(labels);
+  if (out.empty()) {
+    out = "{";
+  } else {
+    out.back() = ',';
   }
-  if (sep) out += ',';
-  out += std::string{key} + "=\"" + std::string{value} + "\"";
+  append_label(out, key, value);
   out += '}';
   return out;
 }
 
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 /// JSON-safe double: NaN/Inf have no JSON literal, so render as strings.
-std::string json_number(double v) {
-  if (std::isnan(v) || std::isinf(v)) return json_string(format_metric_value(v));
-  return format_metric_value(v);
+void append_json_number(std::string& out, double v) {
+  if (std::isnan(v) || std::isinf(v)) {
+    util::append_json_string(out, format_metric_value(v));
+  } else {
+    out += format_metric_value(v);
+  }
 }
 
 std::string exemplar_suffix(const Exemplar& ex) {
@@ -83,9 +77,11 @@ void append_trace_event(std::string& out, const SpanRecord& s, int pid,
                         bool& sep) {
   if (sep) out += ',';
   sep = true;
-  out += "{\"name\":" + json_string(s.name) +
-         ",\"cat\":" + json_string(s.component) +
-         ",\"ph\":\"X\",\"ts\":" + std::to_string(s.start_us) +
+  out += "{\"name\":";
+  util::append_json_string(out, s.name);
+  out += ",\"cat\":";
+  util::append_json_string(out, s.component);
+  out += ",\"ph\":\"X\",\"ts\":" + std::to_string(s.start_us) +
          ",\"dur\":" + std::to_string(s.duration_us()) +
          ",\"pid\":" + std::to_string(pid) +
          ",\"tid\":" + std::to_string(s.trace) +
@@ -96,15 +92,20 @@ void append_trace_event(std::string& out, const SpanRecord& s, int pid,
   // Cross-trace links render as "link.<kind>" args naming the target, so a
   // Perfetto query can hop from a retry's root to its predecessor trace.
   for (const SpanLink& l : s.links) {
-    out += ',' + json_string("link." + l.kind) + ':' +
-           json_string(std::to_string(l.trace) + ":" + std::to_string(l.span));
+    out += ',';
+    util::append_json_string(out, "link." + l.kind);
+    out += ':';
+    util::append_json_string(
+        out, std::to_string(l.trace) + ":" + std::to_string(l.span));
   }
   for (const SpanAttr& a : s.attrs) {
-    out += ',' + json_string(a.key) + ':';
+    out += ',';
+    util::append_json_string(out, a.key);
+    out += ':';
     switch (a.kind) {
       case SpanAttr::Kind::kInt: out += std::to_string(a.i); break;
-      case SpanAttr::Kind::kDouble: out += json_number(a.d); break;
-      case SpanAttr::Kind::kString: out += json_string(a.s); break;
+      case SpanAttr::Kind::kDouble: append_json_number(out, a.d); break;
+      case SpanAttr::Kind::kString: util::append_json_string(out, a.s); break;
     }
   }
   out += "}}";
@@ -170,13 +171,18 @@ std::string encode_json(const MetricsSnapshot& snap) {
   for (const SeriesSnapshot& s : snap.series) {
     if (sep) out += ',';
     sep = true;
-    out += "{\"name\":" + json_string(s.name) + ",\"kind\":\"" +
-           kind_name(s.kind) + "\",\"labels\":{";
+    out += "{\"name\":";
+    util::append_json_string(out, s.name);
+    out += ",\"kind\":\"";
+    out += kind_name(s.kind);
+    out += "\",\"labels\":{";
     bool lsep = false;
     for (const Label& l : s.labels) {
       if (lsep) out += ',';
       lsep = true;
-      out += json_string(l.key) + ":" + json_string(l.value);
+      util::append_json_string(out, l.key);
+      out += ':';
+      util::append_json_string(out, l.value);
     }
     out += "}";
     switch (s.kind) {
@@ -207,7 +213,9 @@ std::string encode_json(const MetricsSnapshot& snap) {
             out += "{\"bucket\":" + std::to_string(i) +
                    ",\"trace_id\":" + std::to_string(s.exemplars[i].trace) +
                    ",\"ts_us\":" + std::to_string(s.exemplars[i].ts_us) +
-                   ",\"value\":" + json_number(s.exemplars[i].value) + "}";
+                   ",\"value\":";
+            append_json_number(out, s.exemplars[i].value);
+            out += '}';
           }
           out += "]";
         }
@@ -305,13 +313,23 @@ std::string encode_trace_list_json(const Tracer& tracer) {
       end = first ? s->end_us : std::max(end, s->end_us);
       first = false;
     }
+    std::string_view name;
+    std::string_view component;
+    std::string_view job;
+    if (root != nullptr) {
+      name = root->name;
+      component = root->component;
+      job = root->attr_str("job");
+    }
     if (sep) out += ',';
     sep = true;
-    out += "{\"trace_id\":" + std::to_string(trace) + ",\"root\":" +
-           json_string(root != nullptr ? root->name : "") + ",\"component\":" +
-           json_string(root != nullptr ? root->component : "") + ",\"job\":" +
-           json_string(root != nullptr ? root->attr_str("job") : "") +
-           ",\"spans\":" + std::to_string(spans.size()) +
+    out += "{\"trace_id\":" + std::to_string(trace) + ",\"root\":";
+    util::append_json_string(out, name);
+    out += ",\"component\":";
+    util::append_json_string(out, component);
+    out += ",\"job\":";
+    util::append_json_string(out, job);
+    out += ",\"spans\":" + std::to_string(spans.size()) +
            ",\"open\":" + std::to_string(tracer.open_in_trace(trace)) +
            ",\"start_us\":" + std::to_string(start) +
            ",\"end_us\":" + std::to_string(end) + "}";

@@ -1,37 +1,16 @@
 #include "obs/health/rollup.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace blab::health {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// Mutable accumulator behind one RollupGroup; quantiles pool per-capture
 /// tier samples and are reduced at the end.
@@ -150,7 +129,7 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
 std::string encode_rollup_json(const Rollup& rollup) {
   using obs::format_metric_value;
   std::string out = "{\"scope\":";
-  append_json_string(out, rollup_scope_name(rollup.scope));
+  util::append_json_string(out, rollup_scope_name(rollup.scope));
   out += ",\"t0_us\":" + std::to_string(rollup.t0.us());
   out += ",\"t1_us\":" + std::to_string(rollup.t1.us());
   out += ",\"captures\":" + std::to_string(rollup.captures_scanned);
@@ -161,7 +140,7 @@ std::string encode_rollup_json(const Rollup& rollup) {
     if (!first_group) out += ',';
     first_group = false;
     out += "{\"key\":";
-    append_json_string(out, g.key);
+    util::append_json_string(out, g.key);
     out += ",\"captures\":" + std::to_string(g.captures);
     out += ",\"samples\":" + std::to_string(g.samples);
     out += ",\"duration_s\":" + format_metric_value(g.duration_s);
@@ -177,7 +156,7 @@ std::string encode_rollup_json(const Rollup& rollup) {
     for (const auto& [cls, slice] : g.by_class) {
       if (!first_class) out += ',';
       first_class = false;
-      append_json_string(out, cls);
+      util::append_json_string(out, cls);
       out += ":{\"captures\":" + std::to_string(slice.captures);
       out += ",\"samples\":" + std::to_string(slice.samples);
       out += ",\"energy_mwh\":" + format_metric_value(slice.energy_mwh);

@@ -5,22 +5,11 @@
 
 #include "obs/export.hpp"
 #include "obs/span.hpp"
+#include "util/strings.hpp"
 
 namespace blab::health {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
 
 double sum_counters(const std::vector<SeriesRef>& refs,
                     const obs::MetricsSnapshot& snap) {
@@ -268,7 +257,7 @@ std::vector<VantageHealth> SloEngine::vantages() const {
 std::string encode_health_json(const SloEngine& engine) {
   using obs::format_metric_value;
   std::string out = "{\"overall\":";
-  append_json_string(out, health_state_name(engine.overall()));
+  util::append_json_string(out, health_state_name(engine.overall()));
   out += ",\"evaluations\":" + std::to_string(engine.evaluations());
   out += ",\"vantages\":[";
   bool first = true;
@@ -276,9 +265,9 @@ std::string encode_health_json(const SloEngine& engine) {
     if (!first) out += ',';
     first = false;
     out += "{\"vp\":";
-    append_json_string(out, v.vantage);
+    util::append_json_string(out, v.vantage);
     out += ",\"state\":";
-    append_json_string(out, health_state_name(v.state));
+    util::append_json_string(out, health_state_name(v.state));
     out += ",\"transitions\":" + std::to_string(v.transitions) + '}';
   }
   out += "],\"slos\":[";
@@ -287,11 +276,11 @@ std::string encode_health_json(const SloEngine& engine) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_json_string(out, s.name);
+    util::append_json_string(out, s.name);
     out += ",\"vp\":";
-    append_json_string(out, s.vantage);
+    util::append_json_string(out, s.vantage);
     out += ",\"state\":";
-    append_json_string(out, alert_state_name(s.state));
+    util::append_json_string(out, alert_state_name(s.state));
     out += ",\"burn_long\":" + format_metric_value(s.burn_long);
     out += ",\"burn_short\":" + format_metric_value(s.burn_short);
     out += ",\"bad_fraction_long\":" +

@@ -4,30 +4,15 @@
 #include <cstddef>
 #include <utility>
 
+#include "util/strings.hpp"
+
 namespace blab::obs {
 namespace {
 
-void append_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
+void write_json_string(std::ostream& out, std::string_view s) {
+  std::string quoted;
+  util::append_json_string(quoted, s);
+  out << quoted;
 }
 
 }  // namespace
@@ -355,8 +340,11 @@ void Tracer::write_jsonl(std::ostream& out) const {
   for (const SpanRecord& s : finished_) {
     out << "{\"id\":" << s.id << ",\"parent\":" << s.parent
         << ",\"trace\":" << s.trace << ",\"depth\":" << s.depth
-        << ",\"component\":\"" << s.component << "\",\"name\":\"" << s.name
-        << "\",\"start_us\":" << s.start_us << ",\"end_us\":" << s.end_us;
+        << ",\"component\":";
+    write_json_string(out, s.component);
+    out << ",\"name\":";
+    write_json_string(out, s.name);
+    out << ",\"start_us\":" << s.start_us << ",\"end_us\":" << s.end_us;
     if (s.weight != 1) out << ",\"weight\":" << s.weight;
     if (!s.links.empty()) {
       out << ",\"links\":[";
@@ -366,7 +354,7 @@ void Tracer::write_jsonl(std::ostream& out) const {
         first = false;
         out << "{\"trace\":" << l.trace << ",\"span\":" << l.span
             << ",\"kind\":";
-        append_json_string(out, l.kind);
+        write_json_string(out, l.kind);
         out << '}';
       }
       out << ']';
@@ -377,7 +365,7 @@ void Tracer::write_jsonl(std::ostream& out) const {
       for (const SpanAttr& a : s.attrs) {
         if (!first) out << ',';
         first = false;
-        append_json_string(out, a.key);
+        write_json_string(out, a.key);
         out << ':';
         switch (a.kind) {
           case SpanAttr::Kind::kInt:
@@ -387,7 +375,7 @@ void Tracer::write_jsonl(std::ostream& out) const {
             out << a.d;
             break;
           case SpanAttr::Kind::kString:
-            append_json_string(out, a.s);
+            write_json_string(out, a.s);
             break;
         }
       }

@@ -35,15 +35,13 @@ void AccessServer::enable_credit_enforcement(CreditPolicy policy) {
   scheduler_.attach_credits(&credits_, policy);
 }
 
-util::Status AccessServer::enable_persistence(
-    const std::string& dir, store::persist::PersistOptions options) {
+util::Status AccessServer::enable_persistence(const std::string& dir) {
   if (persist_ != nullptr) {
     return util::make_error(util::ErrorCode::kAlreadyExists,
                             "persistence already enabled at " +
                                 persist_->dir());
   }
-  auto engine =
-      std::make_unique<store::persist::PersistEngine>(dir, options);
+  auto engine = std::make_unique<store::persist::PersistEngine>(dir);
   if (auto st = engine->open(); !st.ok()) return st;
   persist_ = std::move(engine);
   persist_->attach_metrics(&sim_.metrics());
@@ -51,9 +49,7 @@ util::Status AccessServer::enable_persistence(
   BLAB_INFO("access-server",
             "persistence enabled at " << dir << ": recovered "
                                       << persist_->stats().recovered_records
-                                      << " record(s) across "
-                                      << persist_->shard_count()
-                                      << " shard(s)");
+                                      << " record(s)");
   return util::Status::ok_status();
 }
 

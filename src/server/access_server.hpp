@@ -55,11 +55,10 @@ class AccessServer {
   bool credits_enforced() const { return credit_policy_.has_value(); }
 
   /// Turn on durable capture storage rooted at `dir`: opens (and on a
-  /// restart, recovers) the sharded WAL+segment store there and attaches it
-  /// to the capture store, so every workspace persisted by a previous
-  /// process is immediately listable and queryable again.
-  util::Status enable_persistence(const std::string& dir,
-                                  store::persist::PersistOptions options = {});
+  /// restart, recovers) the manifest-committed segment store there and
+  /// attaches it to the capture store, so every workspace persisted by a
+  /// previous process is immediately listable and queryable again.
+  util::Status enable_persistence(const std::string& dir);
   bool persistence_enabled() const { return persist_ != nullptr; }
   store::persist::PersistEngine* persist_engine() { return persist_.get(); }
 

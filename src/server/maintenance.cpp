@@ -88,7 +88,7 @@ Job make_capture_retention_job(AccessServer& server) {
     const std::uint64_t reclaimed_before =
         store.stats().retention_bytes_reclaimed;
     // Ages out in-memory chunks AND, when persistence is enabled, the
-    // expired on-disk segments (erase + demote + compact) behind them.
+    // expired on-disk segments behind them (erase + demote).
     const std::size_t touched = store.run_retention(now);
     const std::size_t workspaces =
         server.scheduler().purge_workspaces(store.policy().summary_ttl);
@@ -111,7 +111,7 @@ Job make_persist_checkpoint_job(AccessServer& server) {
   job.script = [&server](JobContext& ctx) -> util::Status {
     auto* engine = server.persist_engine();
     if (engine == nullptr) {
-      ctx.workspace->log("persistence not enabled; nothing to fold");
+      ctx.workspace->log("persistence not enabled; nothing to demote");
       return util::Status::ok_status();
     }
     if (server.health_enabled() &&
@@ -119,16 +119,16 @@ Job make_persist_checkpoint_job(AccessServer& server) {
       ctx.workspace->log("fleet unhealthy; deferring checkpoint");
       return util::Status::ok_status();
     }
-    const std::uint64_t flushes_before = engine->stats().segment_flushes;
+    const std::uint64_t demotions_before = engine->stats().demotions;
     if (auto st =
             engine->checkpoint(store::persist::CheckpointCause::kScheduled);
         !st.ok()) {
       return st;
     }
     ctx.workspace->log(
-        "checkpoint compacted into " +
-        std::to_string(engine->stats().segment_flushes - flushes_before) +
-        " segment(s); " + std::to_string(engine->size()) +
+        "checkpoint demoted " +
+        std::to_string(engine->stats().demotions - demotions_before) +
+        " capture(s); " + std::to_string(engine->size()) +
         " record(s) on disk");
     return util::Status::ok_status();
   };

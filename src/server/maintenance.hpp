@@ -31,10 +31,10 @@ Job make_factory_reset_job();
 /// that outlived the store's summary TTL.
 Job make_capture_retention_job(AccessServer& server);
 
-/// Scheduled PersistEngine checkpoint (cause=scheduled): fold every shard's
-/// WAL notes into its segments on a sim-time cadence. Consults the health
-/// engine when enabled — an unhealthy fleet defers the fold to the next
-/// cadence tick.
+/// Scheduled PersistEngine checkpoint (cause=scheduled): demote every
+/// capture whose committed raw drop still sits in a raw segment, on a
+/// sim-time cadence. Consults the health engine when enabled — an
+/// unhealthy fleet defers the checkpoint to the next cadence tick.
 Job make_persist_checkpoint_job(AccessServer& server);
 
 /// Evaluate every SLO against the live metrics registry at the current sim

@@ -485,9 +485,9 @@ std::size_t CaptureStore::run_retention(util::TimePoint now) {
     ++it;
   }
   if (persist_ != nullptr) {
-    // The on-disk copy ages by the same policy: expired segments records are
-    // erased or demoted to the summary stream, segments are compacted, and
-    // the freed bytes feed blab_store_retention_bytes_reclaimed_total.
+    // The on-disk copy ages by the same policy: expired captures are erased
+    // or demoted into summary segments, and the freed bytes feed
+    // blab_store_retention_bytes_reclaimed_total.
     stats_.retention_bytes_reclaimed += persist_->run_retention(now, policy_);
   }
   sync_record_gauge();
@@ -507,14 +507,19 @@ std::size_t CaptureStore::drop_workspace_raw(const std::string& workspace) {
     ++touched;
   }
   if (persist_ != nullptr) {
-    // Journal the purge for every persisted copy — including cold records
-    // this process never warmed — so a restart cannot resurrect raw samples
-    // the workspace purge already discarded.
+    // Commit the purge for every persisted copy — including cold records
+    // this process never warmed — in one manifest, so a restart cannot
+    // resurrect raw samples the workspace purge already discarded.
+    std::vector<CaptureId> ids;
     for (const CaptureId& id : persist_->list(workspace)) {
       const auto info = persist_->info(id);
       if (!info.has_value() || info->raw_dropped) continue;
-      (void)persist_->note_drop_raw(id);
+      ids.push_back(id);
       if (!records_.contains(id)) ++touched;  // warm ones counted above
+    }
+    if (auto st = persist_->drop_raw(ids); !st.ok()) {
+      BLAB_WARN("store", "raw purge of " << workspace
+                                         << " not persisted: " << st.str());
     }
   }
   return touched;

@@ -179,7 +179,7 @@ class CaptureStore {
   /// chunk and byte counts. Null-safe like attach_metrics.
   void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach an opened durability engine: appends archive through to its WAL,
+  /// Attach an opened durability engine: appends archive through to it,
   /// cold queries load transparently from its segments, retention reclaims
   /// its expired on-disk bytes, and the sequence counter resumes past the
   /// largest persisted sequence. Null detaches. The engine must outlive the

@@ -130,7 +130,7 @@ class ChunkedCapture {
   /// place, then shrunk in place, so its capacity is its size (to the page,
   /// for a mapping). Images of a megabyte or more get their own anonymous
   /// memory mapping: a paper-job image lives for the raw TTL among
-  /// short-lived buffers of the same size (WAL read-backs, segment images),
+  /// short-lived buffers of the same size (segment reads at demotion),
   /// and in a heap that mix leaves holes no later image fits, while an
   /// unmapped image returns its pages to the OS. Smaller images use the
   /// heap.

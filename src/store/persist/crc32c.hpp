@@ -1,7 +1,8 @@
 // CRC32C (Castagnoli) over byte buffers.
 //
-// Every persisted frame — WAL records, segment indexes, manifests — carries a
-// CRC32C so recovery can tell a torn or bit-flipped tail from committed data.
+// Every persisted record — segment indexes and captures, manifests — carries
+// a CRC32C so recovery can tell a torn or bit-flipped file from committed
+// data.
 // Castagnoli rather than the zlib polynomial because its error-detection
 // properties for short records are better studied (it is what LevelDB/RocksDB
 // and iSCSI use), and because x86-64 CPUs with SSE4.2 compute it in hardware.

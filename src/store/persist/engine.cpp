@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
+#include <set>
 #include <system_error>
 
 #include "obs/metrics.hpp"
 #include "store/persist/crc32c.hpp"
 #include "util/logging.hpp"
-#include "util/rng.hpp"
 
 namespace blab::store::persist {
 namespace fs = std::filesystem;
@@ -18,6 +17,11 @@ namespace {
 
 util::Error io_error(const std::string& what) {
   return util::make_error(util::ErrorCode::kUnavailable, what);
+}
+
+util::Error not_opened() {
+  return util::make_error(util::ErrorCode::kFailedPrecondition,
+                          "persist engine not opened");
 }
 
 /// A capture's bytes no longer match the CRC its index entry recorded.
@@ -76,12 +80,6 @@ util::Status write_file_atomic(const std::string& path,
   return util::Status::ok_status();
 }
 
-std::string shard_dir_name(std::size_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "shard-%03zu", index);
-  return buf;
-}
-
 /// Version of a "manifest-<N>" file name, or nullopt.
 std::optional<std::uint64_t> manifest_version_of(std::string_view name) {
   constexpr std::string_view prefix = "manifest-";
@@ -96,8 +94,14 @@ std::optional<std::uint64_t> manifest_version_of(std::string_view name) {
   return version;
 }
 
-/// Sequence counter of a "seg-{r,s}-<N>.blsg" file name, or nullopt.
-std::optional<std::uint64_t> segment_number_of(std::string_view name) {
+struct SegmentName {
+  std::uint8_t tier = kTierRaw;
+  std::uint64_t number = 0;
+};
+
+/// Tier and sequence counter of a "seg-{r,s}-<N>.blsg" file name, or
+/// nullopt.
+std::optional<SegmentName> segment_name_of(std::string_view name) {
   constexpr std::string_view suffix = ".blsg";
   if (name.size() < 7 + suffix.size() || name.substr(0, 4) != "seg-") {
     return std::nullopt;
@@ -105,28 +109,16 @@ std::optional<std::uint64_t> segment_number_of(std::string_view name) {
   if (name[4] != 'r' && name[4] != 's') return std::nullopt;
   if (name[5] != '-') return std::nullopt;
   if (name.substr(name.size() - suffix.size()) != suffix) return std::nullopt;
-  std::uint64_t number = 0;
+  SegmentName parsed;
+  parsed.tier = name[4] == 'r' ? kTierRaw : kTierSummary;
   for (char c : name.substr(6, name.size() - 6 - suffix.size())) {
     if (c < '0' || c > '9') return std::nullopt;
-    number = number * 10 + static_cast<std::uint64_t>(c - '0');
+    parsed.number = parsed.number * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  return number;
+  return parsed;
 }
 
 }  // namespace
-
-PersistEngine::PersistEngine(std::string dir, PersistOptions options)
-    : dir_{std::move(dir)}, options_{options} {
-  if (options_.shards == 0) options_.shards = 1;
-}
-
-PersistEngine::~PersistEngine() {
-  // Close handles only. Deliberately no checkpoint: destroying a deployment
-  // must leave exactly the bytes a crash would have left.
-  for (Shard& shard : shards_) {
-    if (shard.wal != nullptr) std::fclose(shard.wal);
-  }
-}
 
 void PersistEngine::bump(obs::Counter* c, std::uint64_t n) {
   if (c != nullptr && n > 0) c->inc(n);
@@ -147,60 +139,37 @@ void PersistEngine::attach_metrics(obs::MetricsRegistry* registry) {
     return;
   }
   obs::MetricsRegistry& m = *registry;
-  metrics_.wal_appends = &m.counter("blab_persist_wal_appends_total");
-  metrics_.wal_bytes = &m.counter("blab_persist_wal_bytes_total");
+  metrics_.manifest_installs =
+      &m.counter("blab_persist_manifest_installs_total");
   metrics_.segment_flushes = &m.counter("blab_persist_segment_flushes_total");
   metrics_.segment_bytes = &m.counter("blab_persist_segment_bytes_total");
+  metrics_.segments_deleted =
+      &m.counter("blab_persist_segments_deleted_total");
   for (std::size_t c = 0; c < kCheckpointCauses; ++c) {
     metrics_.checkpoints[c] = &m.counter(
         "blab_persist_checkpoints_total",
         {{"cause", checkpoint_cause_name(static_cast<CheckpointCause>(c))}});
   }
-  metrics_.compactions = &m.counter("blab_persist_compactions_total");
-  metrics_.compaction_bytes = &m.counter("blab_persist_compaction_bytes_total");
+  metrics_.demotions = &m.counter("blab_persist_demotions_total");
+  metrics_.demotion_bytes = &m.counter("blab_persist_demotion_bytes_total");
   metrics_.recovered = &m.counter("blab_persist_recovered_records_total");
-  metrics_.torn_tail_bytes = &m.counter("blab_persist_torn_tail_bytes_total");
   metrics_.disk_loads = &m.counter("blab_persist_disk_loads_total");
   metrics_.reclaimed = &m.counter("blab_store_retention_bytes_reclaimed_total");
   metrics_.recovery_ms = &m.gauge("blab_persist_recovery_ms");
   metrics_.disk_entries = &m.gauge("blab_persist_disk_entries");
-  bump(metrics_.wal_appends, stats_.wal_appends);
-  bump(metrics_.wal_bytes, stats_.wal_bytes);
+  bump(metrics_.manifest_installs, stats_.manifest_installs);
   bump(metrics_.segment_flushes, stats_.segment_flushes);
   bump(metrics_.segment_bytes, stats_.segment_bytes);
+  bump(metrics_.segments_deleted, stats_.segments_deleted);
   for (std::size_t c = 0; c < kCheckpointCauses; ++c) {
     bump(metrics_.checkpoints[c], stats_.checkpoints_by_cause[c]);
   }
-  bump(metrics_.compactions, stats_.compactions);
-  bump(metrics_.compaction_bytes, stats_.compaction_bytes);
+  bump(metrics_.demotions, stats_.demotions);
+  bump(metrics_.demotion_bytes, stats_.demotion_bytes);
   bump(metrics_.recovered, stats_.recovered_records);
-  bump(metrics_.torn_tail_bytes, stats_.torn_tail_bytes);
   bump(metrics_.disk_loads, stats_.disk_loads);
   bump(metrics_.reclaimed, stats_.retention_bytes_reclaimed);
   sync_gauges();
-}
-
-std::string PersistEngine::shard_path(const Shard& shard) const {
-  return dir_ + "/" + shard.name;
-}
-
-std::string PersistEngine::wal_path(const Shard& shard) const {
-  return shard_path(shard) + "/wal.log";
-}
-
-std::size_t PersistEngine::shard_of(std::string_view workspace) const {
-  if (shards_.empty()) return 0;
-  // fnv1a alone clusters similar keys: its low bits, which the modulo
-  // keeps, depend only on the low bits of each byte, so "vp-1" and "vp-5"
-  // would always share a shard. A full-avalanche finalizer (Murmur3 fmix64
-  // constants) mixes every bit into them.
-  std::uint64_t x = util::fnv1a(workspace);
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return static_cast<std::size_t>(x % shards_.size());
 }
 
 util::Status PersistEngine::open() {
@@ -212,49 +181,47 @@ util::Status PersistEngine::open() {
     return io_error("cannot create store directory " + dir_);
   }
 
-  Manifest manifest;
-  if (auto st = recover_manifest(manifest); !st.ok()) return st;
-
-  const std::size_t count =
-      manifest.shards.empty() ? options_.shards : manifest.shards.size();
-  shards_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_[i].name = shard_dir_name(i);
-    fs::create_directories(shard_path(shards_[i]), ec);
-    if (ec && !fs::is_directory(shard_path(shards_[i]))) {
-      return io_error("cannot create " + shard_path(shards_[i]));
+  // Highest version that parses wins: a torn write of manifest-<N+1> simply
+  // falls back to manifest-<N>. None at all is a fresh store.
+  std::vector<std::pair<std::uint64_t, std::string>> candidates;
+  for (const auto& file : fs::directory_iterator(dir_, ec)) {
+    const std::string name = file.path().filename().string();
+    if (const auto version = manifest_version_of(name); version.has_value()) {
+      candidates.emplace_back(*version, file.path().string());
     }
   }
-  next_seq_ = std::max<std::uint64_t>(1, manifest.next_seq);
-  manifest_version_ = manifest.version;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& listed =
-        i < manifest.shards.size()
-            ? manifest.shards[i]
-            : std::vector<ManifestSegment>{};
-    if (auto st = recover_shard(i, listed); !st.ok()) return st;
-  }
-
-  // Garbage-collect: temp files of interrupted writes, segment files a
-  // crash left unlisted (an append or checkpoint that never installed its
-  // manifest), and manifests other than the chosen one and its predecessor.
-  for (Shard& shard : shards_) {
-    for (const auto& entry : fs::directory_iterator(shard_path(shard), ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.ends_with(".tmp") || (segment_number_of(name).has_value() &&
-                                     !shard.segments.contains(name))) {
-        fs::remove(entry.path(), ec);
-      }
+  std::sort(candidates.rbegin(), candidates.rend());
+  for (const auto& [version, path] : candidates) {
+    auto bytes = read_file(path);
+    auto parsed = bytes.ok() ? parse_manifest(bytes.value())
+                             : util::Result<Manifest>{bytes.error()};
+    if (!parsed.ok()) {
+      BLAB_WARN("persist", path << " unreadable (" << parsed.error().str()
+                                << "); trying predecessor");
+      continue;
     }
+    manifest_version_ = version;
+    next_seq_ = std::max<std::uint64_t>(1, parsed.value().next_seq);
+    for (const ManifestSegment& listed : parsed.value().segments) {
+      recover_segment(listed);
+    }
+    break;
   }
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
+
+  // Garbage-collect: temp files of interrupted writes, segment files no
+  // entry holds (an append or demotion that never installed its manifest,
+  // an erase or demotion that crashed before deleting, a dropped segment),
+  // and manifests other than the chosen one and its predecessor.
+  std::set<std::string_view> live;
+  for (const auto& [id, entry] : index_) live.insert(entry.segment);
+  for (const auto& file : fs::directory_iterator(dir_, ec)) {
+    const std::string name = file.path().filename().string();
     const auto version = manifest_version_of(name);
     if (name.ends_with(".tmp") ||
+        (segment_name_of(name).has_value() && !live.contains(name)) ||
         (version.has_value() && (*version > manifest_version_ ||
                                  *version + 1 < manifest_version_))) {
-      fs::remove(entry.path(), ec);
+      fs::remove(file.path(), ec);
     }
   }
 
@@ -269,163 +236,71 @@ util::Status PersistEngine::open() {
   return util::Status::ok_status();
 }
 
-util::Status PersistEngine::recover_manifest(Manifest& manifest) {
-  std::error_code ec;
-  std::vector<std::pair<std::uint64_t, std::string>> candidates;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (const auto version = manifest_version_of(name); version.has_value()) {
-      candidates.emplace_back(*version, entry.path().string());
-    }
+void PersistEngine::recover_segment(const ManifestSegment& listed) {
+  const auto name = segment_name_of(listed.file);
+  if (name.has_value()) {
+    next_segment_ = std::max(next_segment_, name->number + 1);
   }
-  // Highest version that parses wins: a torn write of manifest-<N+1> simply
-  // falls back to manifest-<N>.
-  std::sort(candidates.rbegin(), candidates.rend());
-  for (const auto& [version, path] : candidates) {
-    auto bytes = read_file(path);
-    if (!bytes.ok()) continue;
-    auto parsed = parse_manifest(bytes.value());
-    if (!parsed.ok()) {
-      BLAB_WARN("persist", path << " unreadable (" << parsed.error().str()
-                                << "); trying predecessor");
-      continue;
-    }
-    manifest = std::move(parsed).take();
-    return util::Status::ok_status();
+  const std::string path = dir_ + "/" + listed.file;
+  auto bytes = name.has_value() ? read_file(path)
+                                : util::Result<std::string>{io_error(
+                                      "not a segment file name")};
+  auto parsed = bytes.ok() ? parse_segment_index(bytes.value())
+                           : util::Result<SegmentIndex>{bytes.error()};
+  // A segment holds one capture, of the tier its name says. Its listed
+  // tier may say summary over a raw file (a drop not yet demoted), never
+  // raw over a summary one.
+  std::string unusable;
+  if (!parsed.ok()) {
+    unusable = parsed.error().str();
+  } else if (parsed.value().entries.size() != 1) {
+    unusable = "holds " + std::to_string(parsed.value().entries.size()) +
+               " captures";
+  } else if (parsed.value().tier != name->tier ||
+             (parsed.value().tier == kTierSummary &&
+              listed.tier == kTierRaw)) {
+    unusable = "tier disagrees with its name or the manifest";
+  } else if (index_.contains(parsed.value().entries[0].id)) {
+    unusable = "duplicate capture " + parsed.value().entries[0].id.str();
   }
-  manifest = Manifest{};  // fresh store
-  return util::Status::ok_status();
-}
-
-util::Status PersistEngine::recover_shard(
-    std::size_t shard_index, const std::vector<ManifestSegment>& segments) {
-  Shard& shard = shards_[shard_index];
-
-  for (const ManifestSegment& seg : segments) {
-    if (const auto number = segment_number_of(seg.file)) {
-      shard.next_segment = std::max(shard.next_segment, *number + 1);
-    }
-    const std::string path = shard_path(shard) + "/" + seg.file;
-    auto bytes = read_file(path);
-    auto parsed = bytes.ok()
-                      ? parse_segment_index(bytes.value())
-                      : util::Result<SegmentIndex>{bytes.error()};
-    if (!parsed.ok()) {
-      // A corrupt segment is dropped whole; its records are cleanly lost.
-      BLAB_WARN("persist", "dropping segment " << path << ": "
-                                               << parsed.error().str());
-      ++stats_.segments_dropped;
-      std::error_code ec;
-      fs::remove(path, ec);
-      continue;
-    }
-    SegmentMeta meta;
-    meta.tier = parsed.value().tier;
-    for (SegmentEntry& e : parsed.value().entries) {
-      next_seq_ = std::max(next_seq_, e.id.seq + 1);
-      if (index_.contains(e.id)) {
-        meta.dirty = true;  // duplicate — compaction will drop it
-        continue;
-      }
-      Entry entry;
-      entry.name = std::move(e.name);
-      entry.stored_at = e.stored_at;
-      entry.raw_dropped = meta.tier == kTierSummary;
-      entry.shard = shard_index;
-      entry.segment = seg.file;
-      entry.offset = e.offset;
-      entry.length = e.length;
-      entry.crc = e.crc;
-      index_.emplace(std::move(e.id), std::move(entry));
-    }
-    shard.segments.emplace(seg.file, meta);
+  if (!unusable.empty()) {
+    // Its capture is cleanly lost; the file is collected unless another
+    // entry holds it.
+    BLAB_WARN("persist", "dropping segment " << path << ": " << unusable);
+    ++stats_.segments_dropped;
+    return;
   }
-
-  // Note replay on top of the segments. Idempotent: a crash after manifest
-  // install but before WAL truncation replays notes the segments already
-  // reflect, and those are no-ops.
-  const std::string path = wal_path(shard);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return util::Status::ok_status();
-  auto bytes = read_file(path);
-  if (!bytes.ok()) return bytes.error();
-  WalReplay replay = parse_wal(bytes.value());
-  if (replay.dropped_bytes > 0) {
-    BLAB_WARN("persist", path << ": dropping " << replay.dropped_bytes
-                              << " torn tail byte(s)");
-    stats_.torn_tail_bytes += replay.dropped_bytes;
-    bump(metrics_.torn_tail_bytes, replay.dropped_bytes);
-    fs::resize_file(path, replay.clean_bytes, ec);
-    if (ec) return io_error("cannot truncate torn tail of " + path);
-  }
-  for (const WalRecord& note : replay.records) {
-    next_seq_ = std::max(next_seq_, note.id.seq + 1);
-    const auto it = index_.find(note.id);
-    if (it == index_.end() ||
-        (note.op == WalOp::kDropRaw && it->second.raw_dropped)) {
-      continue;
-    }
-    apply_note(note.op, it);
-  }
-  shard.wal_size = replay.clean_bytes;
-  return util::Status::ok_status();
-}
-
-util::Status PersistEngine::ensure_wal(Shard& shard) {
-  if (shard.wal != nullptr) return util::Status::ok_status();
-  const std::string path = wal_path(shard);
-  shard.wal = std::fopen(path.c_str(), "ab");
-  if (shard.wal == nullptr) return io_error("cannot open " + path);
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  shard.wal_size = ec ? 0 : size;
-  return util::Status::ok_status();
-}
-
-util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& note) {
-  if (auto st = ensure_wal(shard); !st.ok()) return st;
-  std::string frame;
-  append_wal_record(frame, note);
-  if (std::fwrite(frame.data(), 1, frame.size(), shard.wal) != frame.size() ||
-      std::fflush(shard.wal) != 0) {
-    return io_error("WAL append failed in " + shard.name);
-  }
-  shard.wal_size += frame.size();
-  ++stats_.wal_appends;
-  stats_.wal_bytes += frame.size();
-  bump(metrics_.wal_appends);
-  bump(metrics_.wal_bytes, frame.size());
-  return util::Status::ok_status();
+  SegmentEntry& e = parsed.value().entries[0];
+  next_seq_ = std::max(next_seq_, e.id.seq + 1);
+  Entry entry;
+  entry.name = std::move(e.name);
+  entry.stored_at = e.stored_at;
+  entry.raw_dropped = listed.tier == kTierSummary;
+  entry.segment = listed.file;
+  entry.length = e.length;
+  entry.crc = e.crc;
+  index_.emplace(std::move(e.id), std::move(entry));
 }
 
 util::Result<std::string> PersistEngine::write_segment(
-    Shard& shard, std::uint8_t tier, std::vector<SegmentEntry>& entries,
-    const std::vector<std::string_view>& captures) {
+    std::uint8_t tier, SegmentEntry entry, std::string_view image) {
   const std::string file = std::string("seg-") +
                            (tier == kTierRaw ? "r" : "s") + "-" +
-                           std::to_string(shard.next_segment++) + ".blsg";
+                           std::to_string(next_segment_++) + ".blsg";
   const std::string header = segment_header(tier);
-  std::vector<std::string_view> parts;
-  parts.reserve(captures.size() + 2);
-  parts.push_back(header);
-  std::uint64_t offset = header.size();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    entries[i].offset = offset;
-    entries[i].length = captures[i].size();
-    offset += captures[i].size();
-    parts.push_back(captures[i]);
-  }
-  const std::string footer = segment_footer(entries, offset);
+  entry.offset = header.size();
+  entry.length = image.size();
+  const std::uint64_t index_offset = entry.offset + entry.length;
+  const std::string footer = segment_footer({entry}, index_offset);
   // Write-time self check: the index must parse back and tile the payload.
-  if (auto parsed = parse_segment_footer(footer, offset); !parsed.ok()) {
+  if (auto parsed = parse_segment_footer(footer, index_offset); !parsed.ok()) {
     return parsed.error();
   }
-  parts.push_back(footer);
-  if (auto st = write_file_atomic(shard_path(shard) + "/" + file, parts);
+  if (auto st = write_file_atomic(dir_ + "/" + file, {header, image, footer});
       !st.ok()) {
     return st.error();
   }
-  const std::uint64_t bytes = offset + footer.size();
+  const std::uint64_t bytes = index_offset + footer.size();
   ++stats_.segment_flushes;
   stats_.segment_bytes += bytes;
   bump(metrics_.segment_flushes);
@@ -433,176 +308,92 @@ util::Result<std::string> PersistEngine::write_segment(
   return file;
 }
 
+util::Result<std::string> PersistEngine::read_capture(
+    const CaptureId& id, const Entry& entry) const {
+  auto bytes = read_file_slice(dir_ + "/" + entry.segment, kSegmentHeaderBytes,
+                               entry.length);
+  if (bytes.ok() && crc32c(bytes.value()) != entry.crc) {
+    return checksum_mismatch(id, entry.segment);
+  }
+  return bytes;
+}
+
+void PersistEngine::remove_segment(const std::string& file) {
+  std::error_code ec;
+  if (fs::remove(dir_ + "/" + file, ec)) {
+    ++stats_.segments_deleted;
+    bump(metrics_.segments_deleted);
+  }
+}
+
 util::Status PersistEngine::append(const CaptureId& id,
                                    const std::string& name,
                                    util::TimePoint stored_at,
                                    const ChunkedCapture& cc) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
+  if (!opened_) return not_opened();
+  if (index_.contains(id)) {
+    return util::make_error(util::ErrorCode::kAlreadyExists,
+                            id.str() + " is already persisted");
   }
-  const std::size_t shard_index = shard_of(id.workspace);
-  Shard& shard = shards_[shard_index];
   // The capture's image is written where it is and checksummed once; that
   // CRC is its index entry's.
   const std::string_view image = cc.serialize();
-  const std::uint8_t tier = cc.raw_available() ? kTierRaw : kTierSummary;
-  std::vector<SegmentEntry> entries{
-      {id, name, stored_at, 0, 0, crc32c(image)}};
-  auto file = write_segment(shard, tier, entries, {image});
-  if (!file.ok()) return file.error();
-
-  // The next manifest commits the append. Should it fail, the unlisted
-  // segment file is left for open()'s garbage collection.
-  shard.segments.emplace(file.value(), SegmentMeta{tier});
-  const std::uint64_t next_seq = next_seq_;
-  next_seq_ = std::max(next_seq_, id.seq + 1);
-  if (auto st = install_manifest(); !st.ok()) {
-    shard.segments.erase(file.value());
-    next_seq_ = next_seq;
-    return st;
-  }
   Entry entry;
   entry.name = name;
   entry.stored_at = stored_at;
-  entry.raw_dropped = tier == kTierSummary;
-  entry.shard = shard_index;
+  entry.raw_dropped = !cc.raw_available();
+  entry.length = image.size();
+  entry.crc = crc32c(image);
+  auto file = write_segment(entry.raw_dropped ? kTierSummary : kTierRaw,
+                            {id, name, stored_at, 0, 0, entry.crc}, image);
+  if (!file.ok()) return file.error();
   entry.segment = std::move(file).take();
-  entry.offset = entries[0].offset;
-  entry.length = entries[0].length;
-  entry.crc = entries[0].crc;
-  index_[id] = std::move(entry);
-  sync_gauges();
-  return util::Status::ok_status();
-}
 
-util::Status PersistEngine::note(WalOp op, const CaptureId& id) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
-  }
-  const auto it = index_.find(id);
-  if (it == index_.end() ||
-      (op == WalOp::kDropRaw && it->second.raw_dropped)) {
-    return util::Status::ok_status();
-  }
-  if (auto st = wal_write(shards_[it->second.shard], WalRecord{op, id});
-      !st.ok()) {
+  // The next manifest commits the append. Should it fail, the unlisted
+  // segment file is left for open()'s garbage collection.
+  const std::uint64_t next_seq = next_seq_;
+  next_seq_ = std::max(next_seq_, id.seq + 1);
+  index_.emplace(id, std::move(entry));
+  if (auto st = install_manifest(); !st.ok()) {
+    index_.erase(id);
+    next_seq_ = next_seq;
     return st;
   }
-  apply_note(op, it);
   sync_gauges();
   return util::Status::ok_status();
 }
 
-void PersistEngine::apply_note(WalOp op,
-                               std::map<CaptureId, Entry>::iterator it) {
-  auto& segments = shards_[it->second.shard].segments;
-  if (const auto seg = segments.find(it->second.segment);
-      seg != segments.end()) {
-    seg->second.dirty = true;
-  }
-  if (op == WalOp::kDropRaw) {
+util::Status PersistEngine::drop_raw(const std::vector<CaptureId>& ids) {
+  if (!opened_) return not_opened();
+  std::vector<Entry*> dropped;
+  for (const CaptureId& id : ids) {
+    const auto it = index_.find(id);
+    if (it == index_.end() || it->second.raw_dropped) continue;
     it->second.raw_dropped = true;
-  } else {
-    index_.erase(it);
+    dropped.push_back(&it->second);
   }
+  if (dropped.empty()) return util::Status::ok_status();
+  if (auto st = install_manifest(); !st.ok()) {
+    for (Entry* entry : dropped) entry->raw_dropped = false;
+    return st;
+  }
+  return util::Status::ok_status();
 }
 
-util::Status PersistEngine::note_drop_raw(const CaptureId& id) {
-  return note(WalOp::kDropRaw, id);
-}
-
-util::Status PersistEngine::note_erase(const CaptureId& id) {
-  return note(WalOp::kErase, id);
-}
-
-util::Status PersistEngine::checkpoint_shard(
-    std::size_t shard_index, std::vector<std::string>& replaced) {
-  Shard& shard = shards_[shard_index];
-
-  // The surviving records of every dirty segment, by destination tier.
-  struct Stream {
-    std::vector<SegmentEntry> entries;
-    std::vector<std::string> captures;
-  };
-  Stream streams[2];  // indexed by tier
-  std::vector<std::string> compacted;
-  for (const auto& [file, meta] : shard.segments) {
-    if (!meta.dirty) continue;
-    compacted.push_back(file);
-    const std::string path = shard_path(shard) + "/" + file;
-    auto bytes = read_file(path);
-    auto parsed = bytes.ok()
-                      ? parse_segment_index(bytes.value())
-                      : util::Result<SegmentIndex>{bytes.error()};
-    if (!parsed.ok()) {
-      // Externally corrupted since open; its live records are lost. Drop
-      // the dangling index entries so queries fail NOT_FOUND, not I/O.
-      BLAB_WARN("persist", "compaction dropping segment " << path << ": "
-                                                          << parsed.error()
-                                                                 .str());
-      ++stats_.segments_dropped;
-      std::erase_if(index_, [&](const auto& kv) {
-        return kv.second.shard == shard_index && kv.second.segment == file;
-      });
-      continue;
-    }
-    ++stats_.compactions;
-    stats_.compaction_bytes += bytes.value().size();
-    bump(metrics_.compactions);
-    bump(metrics_.compaction_bytes, bytes.value().size());
-    for (const SegmentEntry& e : parsed.value().entries) {
-      const auto it = index_.find(e.id);
-      if (it == index_.end() || it->second.segment != file ||
-          it->second.shard != shard_index) {
-        continue;  // erased, or superseded by a duplicate elsewhere
-      }
-      // The read-back check: the capture must still match its entry's CRC.
-      auto slice = segment_capture_bytes(bytes.value(), e);
-      if (!slice.ok()) return checksum_mismatch(e.id, file);
-      SegmentEntry entry = e;
-      std::string capture;
-      if (it->second.raw_dropped) {
-        // Segment demotion, from the raw stream into the summary stream.
-        auto demoted = ChunkedCapture::summary_image(slice.value());
-        if (!demoted.ok()) return demoted.error();
-        capture = std::move(demoted).take();
-        entry.crc = crc32c(capture);
-      } else {
-        capture = std::string{slice.value()};
-      }
-      Stream& stream =
-          streams[it->second.raw_dropped ? kTierSummary : kTierRaw];
-      stream.entries.push_back(std::move(entry));
-      stream.captures.push_back(std::move(capture));
-    }
+util::Status PersistEngine::erase(const std::vector<CaptureId>& ids) {
+  if (!opened_) return not_opened();
+  std::vector<std::map<CaptureId, Entry>::node_type> erased;
+  for (const CaptureId& id : ids) {
+    if (auto node = index_.extract(id)) erased.push_back(std::move(node));
   }
-
-  // Write the new tier streams and repoint the index.
-  for (const std::uint8_t tier : {kTierRaw, kTierSummary}) {
-    Stream& stream = streams[tier];
-    if (stream.entries.empty()) continue;
-    const std::vector<std::string_view> captures(stream.captures.begin(),
-                                                 stream.captures.end());
-    auto file = write_segment(shard, tier, stream.entries, captures);
-    if (!file.ok()) return file.error();
-    for (const SegmentEntry& e : stream.entries) {
-      Entry& entry = index_.at(e.id);
-      entry.segment = file.value();
-      entry.offset = e.offset;
-      entry.length = e.length;
-      entry.crc = e.crc;
-    }
-    shard.segments.emplace(file.value(), SegmentMeta{tier});
+  if (erased.empty()) return util::Status::ok_status();
+  if (auto st = install_manifest(); !st.ok()) {
+    for (auto& node : erased) index_.insert(std::move(node));
+    return st;
   }
-
-  // Replaced segments leave the catalog now; their files are deleted by
-  // checkpoint() only after the new manifest is installed.
-  for (const std::string& file : compacted) {
-    shard.segments.erase(file);
-    replaced.push_back(shard_path(shard) + "/" + file);
-  }
+  // Unlisted now: a crash before a delete leaves a file open() collects.
+  for (const auto& node : erased) remove_segment(node.mapped().segment);
+  sync_gauges();
   return util::Status::ok_status();
 }
 
@@ -610,11 +401,10 @@ util::Status PersistEngine::install_manifest() {
   Manifest manifest;
   manifest.version = manifest_version_ + 1;
   manifest.next_seq = next_seq_;
-  manifest.shards.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    for (const auto& [file, meta] : shards_[i].segments) {
-      manifest.shards[i].push_back(ManifestSegment{file, meta.tier});
-    }
+  manifest.segments.reserve(index_.size());
+  for (const auto& [id, entry] : index_) {
+    manifest.segments.push_back(
+        {entry.segment, entry.raw_dropped ? kTierSummary : kTierRaw});
   }
   const std::string bytes = encode_manifest(manifest);
   if (auto st = write_file_atomic(
@@ -623,6 +413,8 @@ util::Status PersistEngine::install_manifest() {
     return st;
   }
   manifest_version_ = manifest.version;
+  ++stats_.manifest_installs;
+  bump(metrics_.manifest_installs);
   // open() left at most this version's two predecessors, and every install
   // since removed the one before its own predecessor.
   if (manifest_version_ >= 2) {
@@ -643,39 +435,52 @@ const char* checkpoint_cause_name(CheckpointCause cause) {
 }
 
 util::Status PersistEngine::checkpoint(CheckpointCause cause) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
+  if (!opened_) return not_opened();
+  // A demotion's new file, length and crc; swapped into its entry for the
+  // install, after which it holds the raw file's.
+  struct Demotion {
+    Entry* entry;
+    std::string segment;
+    std::uint64_t length;
+    std::uint32_t crc;
+    void swap() {
+      std::swap(entry->segment, segment);
+      std::swap(entry->length, length);
+      std::swap(entry->crc, crc);
+    }
+  };
+  std::vector<Demotion> demotions;
+  for (auto& [id, entry] : index_) {
+    if (!entry.raw_dropped || !entry.segment.starts_with("seg-r-")) continue;
+    // The read-back check: the capture must still match its entry's CRC.
+    auto capture = read_capture(id, entry);
+    if (!capture.ok()) return capture.error();
+    auto image = ChunkedCapture::summary_image(capture.value());
+    if (!image.ok()) return image.error();
+    const std::uint32_t crc = crc32c(image.value());
+    auto file = write_segment(
+        kTierSummary, {id, entry.name, entry.stored_at, 0, 0, crc},
+        image.value());
+    if (!file.ok()) return file.error();
+    demotions.push_back(
+        {&entry, std::move(file).take(), image.value().size(), crc});
   }
-  std::vector<std::size_t> touched;
-  // Old segment files must outlive the manifest install.
-  std::vector<std::string> replaced;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = shards_[i];
-    const bool has_dirty =
-        std::any_of(shard.segments.begin(), shard.segments.end(),
-                    [](const auto& kv) { return kv.second.dirty; });
-    if (shard.wal_size == 0 && !has_dirty) continue;
-    if (auto st = checkpoint_shard(i, replaced); !st.ok()) return st;
-    touched.push_back(i);
-  }
-  if (touched.empty()) return util::Status::ok_status();
+  if (demotions.empty()) return util::Status::ok_status();
 
   // Manifest install is the commit point: everything before it is invisible
   // to recovery, everything after it is cleanup a crash may skip.
-  if (auto st = install_manifest(); !st.ok()) return st;
-
-  std::error_code ec;
-  for (std::size_t i : touched) {
-    Shard& shard = shards_[i];
-    if (shard.wal != nullptr) {
-      std::fclose(shard.wal);
-      shard.wal = nullptr;
-    }
-    fs::resize_file(wal_path(shard), 0, ec);
-    shard.wal_size = 0;
+  for (Demotion& d : demotions) d.swap();
+  if (auto st = install_manifest(); !st.ok()) {
+    for (Demotion& d : demotions) d.swap();
+    return st;
   }
-  for (const std::string& path : replaced) fs::remove(path, ec);
+  for (const Demotion& d : demotions) {
+    remove_segment(d.segment);
+    stats_.demotion_bytes += d.length;
+    bump(metrics_.demotion_bytes, d.length);
+  }
+  stats_.demotions += demotions.size();
+  bump(metrics_.demotions, demotions.size());
   ++stats_.checkpoints;
   ++stats_.checkpoints_by_cause[static_cast<std::size_t>(cause)];
   bump(metrics_.checkpoints[static_cast<std::size_t>(cause)]);
@@ -705,11 +510,10 @@ std::uint64_t PersistEngine::run_retention(util::TimePoint now,
       drop_ids.push_back(id);
     }
   }
-  for (const CaptureId& id : erase_ids) (void)note_erase(id);
-  for (const CaptureId& id : drop_ids) (void)note_drop_raw(id);
-  if (auto st = checkpoint(CheckpointCause::kRetention); !st.ok()) {
-    BLAB_WARN("persist", "retention checkpoint failed: " << st.str());
-  }
+  util::Status st = erase(erase_ids);
+  if (st.ok()) st = drop_raw(drop_ids);
+  if (st.ok()) st = checkpoint(CheckpointCause::kRetention);
+  if (!st.ok()) BLAB_WARN("persist", "retention failed: " << st.str());
   const std::uint64_t after = disk_usage_bytes();
   const std::uint64_t reclaimed = before > after ? before - after : 0;
   stats_.retention_bytes_reclaimed += reclaimed;
@@ -727,16 +531,6 @@ std::optional<PersistEngine::EntryInfo> PersistEngine::info(
   if (it == index_.end()) return std::nullopt;
   return EntryInfo{id, it->second.name, it->second.stored_at,
                    it->second.raw_dropped};
-}
-
-std::vector<PersistEngine::EntryInfo> PersistEngine::entries() const {
-  std::vector<EntryInfo> out;
-  out.reserve(index_.size());
-  for (const auto& [id, entry] : index_) {
-    out.push_back(EntryInfo{id, entry.name, entry.stored_at,
-                            entry.raw_dropped});
-  }
-  return out;
 }
 
 std::vector<CaptureId> PersistEngine::list(
@@ -765,17 +559,11 @@ util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
     return util::make_error(util::ErrorCode::kNotFound,
                             "no persisted capture " + id.str());
   }
-  const Entry& entry = it->second;
-  auto bytes = read_file_slice(
-      shard_path(shards_[entry.shard]) + "/" + entry.segment, entry.offset,
-      entry.length);
+  auto bytes = read_capture(id, it->second);
   if (!bytes.ok()) return bytes.error();
-  if (crc32c(bytes.value()) != entry.crc) {
-    return checksum_mismatch(id, entry.segment);
-  }
   auto cc = ChunkedCapture::deserialize(bytes.value());
   if (!cc.ok()) return cc.error();
-  if (entry.raw_dropped && cc.value().raw_available()) {
+  if (it->second.raw_dropped && cc.value().raw_available()) {
     cc.value().drop_raw();
   }
   ++stats_.disk_loads;
@@ -786,10 +574,10 @@ util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
 std::uint64_t PersistEngine::disk_usage_bytes() const {
   std::uint64_t total = 0;
   std::error_code ec;
-  for (const auto& entry : fs::recursive_directory_iterator(dir_, ec)) {
+  for (const auto& file : fs::directory_iterator(dir_, ec)) {
     std::error_code file_ec;
-    if (entry.is_regular_file(file_ec)) {
-      const auto size = entry.file_size(file_ec);
+    if (file.is_regular_file(file_ec)) {
+      const auto size = file.file_size(file_ec);
       if (!file_ec) total += size;
     }
   }

@@ -32,62 +32,7 @@ const char* get_time(const char* p, const char* end, util::TimePoint& t) {
   return p;
 }
 
-/// Parse one WAL payload (everything inside the frame): op, then id.
-bool parse_wal_payload(std::string_view payload, WalRecord& record) {
-  const char* p = payload.data();
-  const char* end = p + payload.size();
-  if (p == end) return false;
-  const auto op = static_cast<std::uint8_t>(*p++);
-  if (op < static_cast<std::uint8_t>(WalOp::kDropRaw) ||
-      op > static_cast<std::uint8_t>(WalOp::kErase)) {
-    return false;
-  }
-  record.op = static_cast<WalOp>(op);
-  p = get_string(p, end, record.id.workspace);
-  if (p == nullptr) return false;
-  p = get_u64(p, end, record.id.seq);
-  return p == end;  // exact consumption
-}
-
 }  // namespace
-
-void append_wal_record(std::string& out, const WalRecord& record) {
-  // The payload goes straight into `out` behind a placeholder [len][crc]
-  // header that is filled in last.
-  const std::size_t frame = out.size();
-  out.append(8, '\0');
-  out.push_back(static_cast<char>(record.op));
-  put_string(out, record.id.workspace);
-  put_u64(out, record.id.seq);
-  const std::string_view payload = std::string_view{out}.substr(frame + 8);
-  char* header = out.data() + frame;
-  header = put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  put_u32(header, crc32c(payload));
-}
-
-WalReplay parse_wal(std::string_view bytes) {
-  WalReplay replay;
-  const char* begin = bytes.data();
-  const char* p = begin;
-  const char* end = begin + bytes.size();
-  while (p != end) {
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    const char* q = get_u32(p, end, len);
-    if (q != nullptr) q = get_u32(q, end, crc);
-    // Any violation from here on is a torn tail: stop, keep the prefix.
-    if (q == nullptr || len > static_cast<std::size_t>(end - q)) break;
-    const std::string_view payload{q, len};
-    if (crc32c(payload) != crc) break;
-    WalRecord record;
-    if (!parse_wal_payload(payload, record)) break;
-    replay.records.push_back(std::move(record));
-    p = q + len;
-  }
-  replay.clean_bytes = static_cast<std::size_t>(p - begin);
-  replay.dropped_bytes = bytes.size() - replay.clean_bytes;
-  return replay;
-}
 
 std::string segment_header(std::uint8_t tier) {
   std::string out{kSegmentMagic};
@@ -243,20 +188,17 @@ std::string encode_manifest(const Manifest& manifest) {
   std::string out{kManifestMagic};
   put_u64(out, manifest.version);
   put_u64(out, manifest.next_seq);
-  put_u32(out, static_cast<std::uint32_t>(manifest.shards.size()));
-  for (const auto& shard : manifest.shards) {
-    put_u64(out, shard.size());
-    for (const ManifestSegment& seg : shard) {
-      put_string(out, seg.file);
-      out.push_back(static_cast<char>(seg.tier));
-    }
+  put_u64(out, manifest.segments.size());
+  for (const ManifestSegment& seg : manifest.segments) {
+    put_string(out, seg.file);
+    out.push_back(static_cast<char>(seg.tier));
   }
   put_u32(out, crc32c(out));
   return out;
 }
 
 util::Result<Manifest> parse_manifest(std::string_view bytes) {
-  const std::size_t min_size = kManifestMagic.size() + 8 + 8 + 4 + 4;
+  const std::size_t min_size = kManifestMagic.size() + 8 + 8 + 8 + 4;
   if (bytes.size() < min_size) return format_error("manifest too short");
   if (bytes.substr(0, kManifestMagic.size()) != kManifestMagic) {
     return format_error("bad manifest magic");
@@ -271,33 +213,24 @@ util::Result<Manifest> parse_manifest(std::string_view bytes) {
   const char* end = body.data() + body.size();
   p = get_u64(p, end, manifest.version);
   if (p != nullptr) p = get_u64(p, end, manifest.next_seq);
-  std::uint32_t shard_count = 0;
-  if (p != nullptr) p = get_u32(p, end, shard_count);
-  if (p == nullptr || shard_count > kMaxManifestShards) {
-    return format_error("manifest header malformed");
+  std::uint64_t count = 0;
+  if (p != nullptr) p = get_u64(p, end, count);
+  // Each segment entry is at least 5 bytes.
+  if (p == nullptr || count > static_cast<std::uint64_t>(end - p) / 5) {
+    return format_error("manifest segment list implausible");
   }
-  manifest.shards.resize(shard_count);
-  for (auto& shard : manifest.shards) {
-    std::uint64_t seg_count = 0;
-    p = get_u64(p, end, seg_count);
-    // Each segment entry is at least 5 bytes.
-    if (p == nullptr ||
-        seg_count > static_cast<std::uint64_t>(end - p) / 5) {
-      return format_error("manifest shard list implausible");
+  manifest.segments.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ManifestSegment seg;
+    p = get_string(p, end, seg.file);
+    if (p == nullptr || p == end) {
+      return format_error("manifest segment entry truncated");
     }
-    shard.reserve(seg_count);
-    for (std::uint64_t i = 0; i < seg_count; ++i) {
-      ManifestSegment seg;
-      p = get_string(p, end, seg.file);
-      if (p == nullptr || p == end) {
-        return format_error("manifest segment entry truncated");
-      }
-      seg.tier = static_cast<std::uint8_t>(*p++);
-      if (seg.tier != kTierRaw && seg.tier != kTierSummary) {
-        return format_error("manifest segment tier unknown");
-      }
-      shard.push_back(std::move(seg));
+    seg.tier = static_cast<std::uint8_t>(*p++);
+    if (seg.tier != kTierRaw && seg.tier != kTierSummary) {
+      return format_error("manifest segment tier unknown");
     }
+    manifest.segments.push_back(std::move(seg));
   }
   if (p != end) return format_error("trailing bytes after manifest");
   return manifest;

@@ -1,17 +1,9 @@
 // On-disk byte formats for the persistent capture store (DESIGN.md §12).
 //
-// Three little formats, all built from the store codec's fixed-width
-// primitives plus CRC32C framing, and all parsed from in-memory buffers so
+// Two little formats, both built from the store codec's fixed-width
+// primitives plus CRC32C sealing, and both parsed from in-memory buffers so
 // the deserializers are total functions over arbitrary bytes (the
 // persist_fuzz harness drives them directly; file I/O lives in engine.cpp):
-//
-//   WAL      a stream of [u32 len][u32 crc32c(payload)][payload] frames,
-//            each a drop-raw or erase note naming one capture id. Captures
-//            never enter the WAL: each lives in a segment from its append.
-//            Parsing stops at the first truncated, oversized or
-//            checksum-failing frame and reports the torn tail instead of
-//            erroring — a crashed writer may leave a partial frame, and
-//            everything before it is still committed data.
 //
 //   Segment  "BLSG1" + tier byte, a dense payload region of serialized
 //            ChunkedCaptures, then the footer: an index of (id, name,
@@ -21,11 +13,13 @@
 //            exactly, which makes the whole file canonical:
 //            parse-then-rebuild is byte-identical. A writer can emit the
 //            header, the payloads where they already are, and the footer,
-//            without assembling the file.
+//            without assembling the file. The engine writes one capture
+//            per segment; the format allows any number.
 //
-//   Manifest "BLMF1" + version + next_seq + per-shard segment lists + a
-//            trailing CRC over everything before it. Canonical for the
-//            same reason (no padding, no optional fields, exact-length).
+//   Manifest "BLMF2" + version + next_seq + one flat list of (segment
+//            file, tier) pairs + a trailing CRC over everything before
+//            it. Canonical for the same reason (no padding, no optional
+//            fields, exact-length).
 //
 // Every parser rejects rather than truncates: trailing bytes, non-dense
 // payload tiling, out-of-range offsets and bad checksums are all hard
@@ -42,38 +36,6 @@
 #include "util/time.hpp"
 
 namespace blab::store::persist {
-
-// ---- WAL ----------------------------------------------------------------
-
-/// Notes the store journals before acknowledging them. Both name a capture
-/// already committed to a segment; the next checkpoint folds them into the
-/// segments and truncates the WAL.
-enum class WalOp : std::uint8_t {
-  kDropRaw = 2,  ///< raw tier purged for id (retention / workspace purge)
-  kErase = 3,    ///< record dropped entirely for id (summary TTL)
-};
-
-struct WalRecord {
-  WalOp op = WalOp::kDropRaw;
-  CaptureId id;
-
-  bool operator==(const WalRecord&) const = default;
-};
-
-/// Append one framed record to `out`. Deterministic: the same logical record
-/// always produces the same bytes (canonical framing — parse_wal accepts
-/// exactly what this emits).
-void append_wal_record(std::string& out, const WalRecord& record);
-
-struct WalReplay {
-  std::vector<WalRecord> records;
-  std::size_t clean_bytes = 0;    ///< committed prefix length
-  std::size_t dropped_bytes = 0;  ///< torn/corrupt tail discarded
-};
-
-/// Replay a WAL buffer. Total over arbitrary bytes: never throws, never
-/// reads out of bounds; `clean_bytes + dropped_bytes == bytes.size()`.
-WalReplay parse_wal(std::string_view bytes);
 
 // ---- Segments -----------------------------------------------------------
 
@@ -140,11 +102,12 @@ util::Result<std::string_view> segment_capture_bytes(std::string_view file,
 
 // ---- Manifest -----------------------------------------------------------
 
-inline constexpr std::string_view kManifestMagic = "BLMF1";
-inline constexpr std::uint32_t kMaxManifestShards = 1024;
+inline constexpr std::string_view kManifestMagic = "BLMF2";
 
 struct ManifestSegment {
-  std::string file;  ///< file name within its shard directory
+  std::string file;  ///< segment file name in the store directory
+  /// The tier of the capture it holds: summary once its raw tier is
+  /// dropped, even while the file is still a raw segment.
   std::uint8_t tier = kTierRaw;
 
   bool operator==(const ManifestSegment&) const = default;
@@ -153,8 +116,7 @@ struct ManifestSegment {
 struct Manifest {
   std::uint64_t version = 0;
   std::uint64_t next_seq = 1;  ///< store sequence floor after recovery
-  /// Fixed at store creation; shards[i] lists shard i's live segments.
-  std::vector<std::vector<ManifestSegment>> shards;
+  std::vector<ManifestSegment> segments;  ///< every live segment
 
   bool operator==(const Manifest&) const = default;
 };

@@ -74,7 +74,7 @@ struct RunOptions {
   /// and dispatch its jobs, advance the clock by min(kill_extra,
   /// step_length), and tear the whole deployment down mid-flight with no
   /// checkpoint or shutdown hook. With persistence enabled this is a
-  /// kill -9: only what the WAL/manifest already made durable survives.
+  /// kill -9: only what an installed manifest already committed survives.
   int kill_after_steps = -1;
   /// Sim-time slice of the killed step to execute before the teardown.
   util::Duration kill_extra;
@@ -93,9 +93,10 @@ struct RunOptions {
   /// Turn on the fleet health engine after onboarding: GET /rollup and
   /// GET /health become live, a recurring maintenance job evaluates every
   /// SLO each `health_period`, and (when persistence is on) scheduled
-  /// checkpoints fold WALs at twice that cadence. The recurring jobs change
-  /// the event stream, so the pinned golden digests only cover runs without
-  /// it; the rollup-accuracy oracle only runs with it.
+  /// checkpoints demote dropped captures at twice that cadence. The
+  /// recurring jobs change the event stream, so the pinned golden digests
+  /// only cover runs without it; the rollup-accuracy oracle only runs with
+  /// it.
   bool enable_health = false;
   /// Sim-time cadence of the health-evaluation maintenance job. Scenario
   /// horizons are tens of simulated seconds (3-6 steps of 2-5 s), so the

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <thread>
 
+#include "hw/power_monitor.hpp"
 #include "net/network.hpp"
 #include "server/access_server.hpp"
 #include "sim/simulator.hpp"
 #include "store/capture_store.hpp"
+#include "store/chunked_capture.hpp"
 #include "store/persist/engine.hpp"
 #include "testing/harness.hpp"
 #include "util/rng.hpp"
@@ -93,22 +95,108 @@ std::string first_diff(const std::string& before, const std::string& after) {
   return "snapshots differ";
 }
 
-/// Smear `garbage` bytes over the end of one shard's WAL — a torn write that
-/// landed past the committed prefix. Recovery must drop it and nothing else.
-void append_wal_garbage(const std::string& dir, std::size_t shard,
-                        util::Rng& rng) {
-  char name[32];
-  std::snprintf(name, sizeof name, "shard-%03zu", shard);
-  const fs::path wal = fs::path{dir} / name / "wal.log";
-  std::FILE* f = std::fopen(wal.string().c_str(), "ab");
-  if (f == nullptr) return;
-  const std::size_t garbage =
-      static_cast<std::size_t>(rng.uniform_int(1, 24));
-  for (std::size_t i = 0; i < garbage; ++i) {
-    const char byte = static_cast<char>(rng.uniform_int(0, 255));
-    std::fwrite(&byte, 1, 1, f);
+/// Seeded subsets commit store changes right before the kill: a workspace
+/// purge of some workspaces, whose raw drops stay undemoted, or a retention
+/// pass timed so the older captures are erased and the rest demoted.
+void commit_changes(server::AccessServer& server, util::Rng& rng,
+                    CrashRecoveryReport& report) {
+  store::CaptureStore& store = server.capture_store();
+  const double roll = rng.uniform();
+  if (roll < 0.35) {
+    for (const std::string& ws : store.workspaces()) {
+      if (rng.chance(0.5)) report.drops += store.drop_workspace_raw(ws);
+    }
+  } else if (roll < 0.7) {
+    store::persist::PersistEngine& engine = *server.persist_engine();
+    std::vector<std::int64_t> stamps;
+    engine.scan_catalog(
+        TimePoint::epoch(), TimePoint::max(),
+        [&stamps](const store::persist::PersistEngine::EntryInfo& e) {
+          stamps.push_back(e.stored_at.us());
+        });
+    std::sort(stamps.begin(), stamps.end());
+    stamps.erase(std::unique(stamps.begin(), stamps.end()), stamps.end());
+    if (stamps.size() < 2) return;
+    // Captures stored up to the chosen stamp reach the summary TTL; the
+    // rest, stored seconds later, are far past the raw TTL.
+    const std::int64_t oldest_kept = stamps[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(stamps.size()) - 2))];
+    const std::size_t before = engine.size();
+    (void)store.run_retention(TimePoint::from_micros(oldest_kept) +
+                              store.policy().summary_ttl);
+    report.erases = before - engine.size();
   }
-  std::fclose(f);
+}
+
+/// Largest N among the files named <prefix>N<suffix> in `dir`, 0 if none.
+std::uint64_t highest_numbered(const fs::path& dir, std::string_view prefix,
+                               std::string_view suffix) {
+  std::uint64_t highest = 0;
+  std::error_code ec;
+  for (const auto& file : fs::directory_iterator(dir, ec)) {
+    const std::string name = file.path().filename().string();
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix)) {
+      continue;
+    }
+    const std::string digits = name.substr(
+        prefix.size(), name.size() - prefix.size() - suffix.size());
+    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
+    highest = std::max<std::uint64_t>(highest, std::stoull(digits));
+  }
+  return highest;
+}
+
+std::string random_bytes(util::Rng& rng, std::size_t n) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  return bytes;
+}
+
+/// Plant a file a crash could have left at one of the store's write points
+/// and return its path. Recovery must ignore it and collect it.
+fs::path plant_file(const fs::path& dir, PlantedFile kind, util::Rng& rng) {
+  const std::string next_segment = std::to_string(
+      std::max(highest_numbered(dir, "seg-r-", ".blsg"),
+               highest_numbered(dir, "seg-s-", ".blsg")) +
+      1);
+  const auto garbage = [&rng] {
+    return random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(1, 64)));
+  };
+  fs::path path;
+  std::string bytes;
+  switch (kind) {
+    case PlantedFile::kManifest:
+      // A torn install of the next manifest version.
+      path = dir / ("manifest-" +
+                    std::to_string(highest_numbered(dir, "manifest-", "") + 1));
+      bytes = garbage();
+      break;
+    case PlantedFile::kSegment: {
+      // An append that renamed its segment and died before its install.
+      std::vector<float> samples(
+          static_cast<std::size_t>(rng.uniform_int(1, 400)));
+      for (float& v : samples) v = static_cast<float>(rng.uniform(5.0, 900.0));
+      const store::ChunkedCapture cc = store::ChunkedCapture::encode(
+          hw::Capture{TimePoint::epoch(), 5000.0, 3.85, std::move(samples)});
+      path = dir / ("seg-r-" + next_segment + ".blsg");
+      bytes = store::persist::build_segment(
+          store::persist::kTierRaw, {{{"vp-ghost", 1}, "GHOST",
+                                      TimePoint::epoch(),
+                                      std::string{cc.serialize()}}});
+      break;
+    }
+    case PlantedFile::kTmp:
+      // A segment write that died before its rename.
+      path = dir / ("seg-r-" + next_segment + ".blsg.tmp");
+      bytes = garbage();
+      break;
+    case PlantedFile::kNone:
+      return {};
+  }
+  std::ofstream out{path, std::ios::binary};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
 }
 
 }  // namespace
@@ -133,7 +221,8 @@ CrashRecoveryReport check_crash_recovery(std::uint64_t seed,
   report.kill_step = options.kill_after_steps;
 
   std::string before;
-  options.before_teardown = [&before](server::AccessServer& server) {
+  options.before_teardown = [&](server::AccessServer& server) {
+    commit_changes(server, rng, report);
     before = snapshot_store(server.capture_store());
   };
   const ScenarioResult crashed = run_scenario(spec, options);
@@ -145,12 +234,10 @@ CrashRecoveryReport check_crash_recovery(std::uint64_t seed,
   }
   report.captures = count_lines(before);
 
-  // Most seeds also tear the tail of one WAL before the "restart".
+  fs::path planted;
   if (rng.chance(0.7)) {
-    report.torn_tail = true;
-    const std::size_t shard = static_cast<std::size_t>(
-        rng.uniform_int(0, 3));  // default PersistOptions has 4 shards
-    append_wal_garbage(dir, shard, rng);
+    report.planted = static_cast<PlantedFile>(rng.uniform_int(1, 3));
+    planted = plant_file(dir, report.planted, rng);
   }
 
   // The restart: a fresh deployment recovering the same directory. Only the
@@ -170,6 +257,11 @@ CrashRecoveryReport check_crash_recovery(std::uint64_t seed,
 
   if (before != after) {
     report.detail = first_diff(before, after);
+    return report;
+  }
+  if (!planted.empty() && fs::exists(planted, ec)) {
+    report.detail = "planted " + planted.filename().string() +
+                    " survived recovery";
     return report;
   }
   report.ok = true;
@@ -209,12 +301,22 @@ std::vector<CrashRecoveryReport> run_crash_recovery_corpus(
   return results;
 }
 
+const char* planted_file_name(PlantedFile planted) {
+  switch (planted) {
+    case PlantedFile::kNone: return "none";
+    case PlantedFile::kManifest: return "manifest";
+    case PlantedFile::kSegment: return "segment";
+    case PlantedFile::kTmp: return "tmp";
+  }
+  return "?";
+}
+
 std::string CrashRecoveryReport::describe() const {
   std::ostringstream os;
-  os << "seed " << seed << ": kill after step " << kill_step
-     << (torn_tail ? " +torn-tail" : "") << ", " << captures
-     << " record(s), " << recovered << " recovered -> "
-     << (ok ? "match" : detail);
+  os << "seed " << seed << ": kill after step " << kill_step << ", "
+     << drops << " drop(s), " << erases << " erase(s), planted "
+     << planted_file_name(planted) << ", " << captures << " record(s), "
+     << recovered << " recovered -> " << (ok ? "match" : detail);
   return os.str();
 }
 

@@ -2,12 +2,15 @@
 //
 // Runs a scenario with persistence enabled and tears the whole deployment
 // down at a seed-fuzzed sim-time (a mid-step kill -9: no checkpoint, no
-// shutdown hook, FILE* handles just close). Snapshots every query answer the
-// store can give right before the kill, then boots a fresh deployment on the
-// same directory and verifies recovery reproduces the snapshot byte for
-// byte. Most seeds also smear garbage over a shard's WAL tail first, so
-// recovery additionally has to shrug off a torn write beyond the committed
-// prefix.
+// shutdown hook). Right before the kill, seeded subsets of seeds commit
+// raw-tier purges through a workspace purge (left undemoted) or run a
+// retention pass that erases the older captures and demotes the rest.
+// Then every query answer the store can give is snapshotted, a fresh
+// deployment boots on the same directory, and recovery must reproduce the
+// snapshot byte for byte. Most seeds also plant a file a crash could have
+// left at one of the store's write points — a torn next manifest, a
+// segment no manifest lists, or a `.tmp` leftover — which recovery must
+// ignore and collect.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +19,22 @@
 
 namespace blab::testing {
 
+/// A file planted in the store directory between the kill and the restart.
+enum class PlantedFile {
+  kNone,
+  kManifest,  ///< garbage manifest-<v+1>: recovery falls back to v
+  kSegment,   ///< well-formed seg-r-<n>.blsg no manifest lists
+  kTmp,       ///< garbage `.tmp` leftover of an interrupted write
+};
+const char* planted_file_name(PlantedFile planted);
+
 struct CrashRecoveryReport {
   std::uint64_t seed = 0;
   bool ok = false;
   int kill_step = 0;            ///< full steps completed before the kill
-  bool torn_tail = false;       ///< garbage appended to a WAL before restart
+  std::size_t drops = 0;        ///< raw purges committed before the kill
+  std::size_t erases = 0;       ///< captures retention erased before it
+  PlantedFile planted = PlantedFile::kNone;
   std::size_t captures = 0;     ///< records covered by the snapshot
   std::uint64_t recovered = 0;  ///< records the restart recovered
   std::string detail;           ///< first divergence, when !ok

@@ -86,6 +86,30 @@ std::string format_bytes(double bytes) {
   return format_double(bytes, 1) + " " + units[u];
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
+    }
+  }
+  out.append(s.substr(run));
+  out += '"';
+}
+
 std::string to_string(Duration d) {
   const std::int64_t us = d.us();
   if (us < 0) return "-" + to_string(Duration::micros(-us));

@@ -19,5 +19,9 @@ std::string to_lower(std::string_view s);
 std::string format_double(double v, int precision);
 /// "12.3 KB" / "4.0 MB" style byte formatting.
 std::string format_bytes(double bytes);
+/// Append `s` to `out` as a JSON string literal: `"` and `\` are
+/// backslash-escaped, newline and tab become `\n` and `\t`, and every other
+/// control character becomes `\u00XX`. Every telemetry encoder uses it.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace blab::util

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -132,7 +133,7 @@ TEST(DstGolden, FirstFiveCorpusSeedDigestsArePinned) {
 
 // ------------------------------------------------------------------------
 // Durable capture store: persistence must be invisible to the digest, and a
-// kill -9 at a fuzzed sim-time must lose nothing the WAL already committed.
+// kill -9 at a fuzzed sim-time must lose nothing a manifest already committed.
 // ------------------------------------------------------------------------
 
 // The durability engine schedules no simulator events and consumes no
@@ -158,9 +159,10 @@ TEST(DstPersistence, PersistenceDoesNotPerturbPinnedDigests) {
   std::filesystem::remove_all(base, ec);
 }
 
-// The kill-restart oracle: run each corpus seed with persistence, tear the
-// deployment down mid-step with no shutdown path, restart onto the same
-// directory (most seeds with extra garbage smeared over a WAL tail), and
+// The kill-restart oracle: run each corpus seed with persistence, commit
+// raw purges or a retention pass on seeded subsets, tear the deployment down
+// mid-step with no shutdown path, restart onto the same directory (most
+// seeds with a file planted at one of the store's write points), and
 // require every store query answer to survive byte-identically.
 TEST(DstPersistence, CrashRecoveryOracleAcrossCorpus) {
   const auto seeds = dst::default_corpus(40);
@@ -169,17 +171,27 @@ TEST(DstPersistence, CrashRecoveryOracleAcrossCorpus) {
                            std::to_string(::getpid());
   const auto reports = dst::run_crash_recovery_corpus(seeds, jobs, base);
   ASSERT_EQ(reports.size(), seeds.size());
-  std::size_t with_data = 0, torn = 0;
+  std::size_t with_data = 0, dropped = 0, erased = 0;
+  std::map<dst::PlantedFile, std::size_t> planted;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].seed, seeds[i]);
     EXPECT_TRUE(reports[i].ok) << reports[i].describe();
     with_data += reports[i].recovered > 0 ? 1 : 0;
-    torn += reports[i].torn_tail ? 1 : 0;
+    dropped += reports[i].drops > 0 ? 1 : 0;
+    erased += reports[i].erases > 0 ? 1 : 0;
+    ++planted[reports[i].planted];
   }
   // The corpus must actually exercise recovery, not vacuously pass on empty
-  // stores and untouched WALs.
+  // stores, uncommitted changes and untouched directories.
   EXPECT_GT(with_data, 0u) << "no seed persisted any capture before its kill";
-  EXPECT_GT(torn, 0u);
+  EXPECT_GT(dropped, 0u) << "no seed committed a raw drop before its kill";
+  EXPECT_GT(erased, 0u) << "no seed committed an erase before its kill";
+  for (const dst::PlantedFile kind :
+       {dst::PlantedFile::kManifest, dst::PlantedFile::kSegment,
+        dst::PlantedFile::kTmp}) {
+    EXPECT_GT(planted[kind], 0u)
+        << "no seed planted a " << dst::planted_file_name(kind) << " file";
+  }
   std::error_code ec;
   std::filesystem::remove_all(base, ec);
 }

@@ -163,6 +163,19 @@ TEST(Rollup, JsonEncodingIsDeterministic) {
   EXPECT_NE(first.find("\"energy_mwh\""), std::string::npos);
 }
 
+TEST(Rollup, JsonEscapesGroupKeys) {
+  // A workspace holding a quote, a backslash, a newline and a control byte
+  // renders as one JSON string: every control character becomes \u00XX.
+  CaptureStore store;
+  (void)store.append("a\"b\\c\nd\x01", "m0", make_capture(12, 2000),
+                     TimePoint::epoch());
+  RollupEngine engine{store};
+  const std::string json =
+      blab::health::encode_rollup_json(engine.compute(RollupScope::kJob));
+  EXPECT_NE(json.find(R"("key":"a\"b\\c\nd\u0001")"), std::string::npos)
+      << json;
+}
+
 TEST(Rollup, ScopeParsing) {
   EXPECT_EQ(blab::health::parse_rollup_scope("fleet"), RollupScope::kFleet);
   EXPECT_EQ(blab::health::parse_rollup_scope("job"), RollupScope::kJob);
@@ -391,6 +404,20 @@ TEST(Slo, HealthJsonIsDeterministicAndNamesEveryVantage) {
       << first;
   EXPECT_NE(first.find("\"slos\""), std::string::npos);
   EXPECT_NE(first.find("\"test-slo\""), std::string::npos);
+}
+
+TEST(Slo, HealthJsonEscapesVantageLabels) {
+  // Vantage labels are free text: one with a newline or a control byte
+  // must still leave GET /health valid JSON.
+  blab::obs::MetricsRegistry registry;
+  SloEngine engine{registry};
+  SloSpec spec = ratio_spec();
+  spec.vantage = "a\"b\\c\nd\x01";
+  engine.add_spec(spec);
+  engine.evaluate(TimePoint::epoch());
+  const std::string json = blab::health::encode_health_json(engine);
+  EXPECT_NE(json.find(R"("vp":"a\"b\\c\nd\u0001")"), std::string::npos)
+      << json;
 }
 
 // ------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -172,6 +173,71 @@ TEST(Encoders, JsonHoldsEverySeries) {
   EXPECT_EQ(json.rfind("{\"series\":[", 0), 0u) << json;
   EXPECT_NE(json.find("\"blab_a_total\""), std::string::npos);
   EXPECT_NE(json.find("\"blab_b\""), std::string::npos);
+}
+
+// A quote, a backslash, a newline and a control byte, as a user could put
+// them in a job name or a label, and the one JSON rendering every encoder
+// must give them.
+constexpr std::string_view kAwkward = "a\"b\\c\nd\x01";
+constexpr std::string_view kAwkwardJson = R"("a\"b\\c\nd\u0001")";
+
+bool has(const std::string& text, std::string_view key) {
+  return text.find(std::string{key} + std::string{kAwkwardJson}) !=
+         std::string::npos;
+}
+
+TEST(Encoders, EveryJsonEncoderEscapesUserStrings) {
+  std::int64_t now_us = 0;
+  obs::Tracer tracer{[&] { return now_us; }};
+  const std::uint64_t odd = tracer.begin_detached(kAwkward, kAwkward);
+  tracer.set_attr(odd, "job", kAwkward);
+  tracer.add_link(odd, obs::SpanLink{1, 1, std::string{kAwkward}});
+  const std::uint64_t job = tracer.begin_detached("scheduler", "job");
+  tracer.set_attr(job, "job", kAwkward);
+  now_us = 10;
+  tracer.end(odd);
+  tracer.end(job);
+
+  const std::string trace = obs::encode_trace_json(tracer.spans());
+  EXPECT_TRUE(has(trace, "\"name\":")) << trace;
+  EXPECT_TRUE(has(trace, "\"cat\":")) << trace;
+  EXPECT_TRUE(has(trace, "\"job\":")) << trace;
+  EXPECT_NE(trace.find(R"("link.a\"b\\c\nd\u0001":"1:1")"), std::string::npos)
+      << trace;
+  const std::string list = obs::encode_trace_list_json(tracer);
+  EXPECT_TRUE(has(list, "\"root\":")) << list;
+  EXPECT_TRUE(has(list, "\"component\":")) << list;
+  EXPECT_TRUE(has(list, "\"job\":")) << list;
+  const std::string flame = obs::encode_flame_json(
+      obs::build_flame(tracer.spans()), obs::critical_paths(tracer.spans()));
+  EXPECT_TRUE(has(flame, "{\"component\":")) << flame;
+  EXPECT_TRUE(has(flame, ",\"name\":")) << flame;
+  EXPECT_TRUE(has(flame, "\"job\":")) << flame;
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  EXPECT_TRUE(has(jsonl.str(), "\"component\":")) << jsonl.str();
+  EXPECT_TRUE(has(jsonl.str(), "\"name\":")) << jsonl.str();
+  EXPECT_TRUE(has(jsonl.str(), "\"job\":")) << jsonl.str();
+
+  obs::MetricsRegistry registry;
+  registry.counter("blab_x_total", {{"vp", std::string{kAwkward}}}).inc();
+  const std::string json = obs::encode_json(registry.snapshot());
+  EXPECT_TRUE(has(json, "\"vp\":")) << json;
+}
+
+TEST(Encoders, PrometheusEscapesLabelValues) {
+  obs::MetricsRegistry registry;
+  registry.counter("blab_x_total", {{"vp", "a\"b\\c\nd"}}).inc();
+  registry.histogram("blab_h", {1.0}, {{"vp", "q\""}}).observe(0.5);
+  const std::string text = obs::encode_prometheus(registry.snapshot());
+  EXPECT_NE(text.find("blab_x_total{vp=\"a\\\"b\\\\c\\nd\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("blab_h_bucket{vp=\"q\\\"\",le=\"1\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("blab_h_count{vp=\"q\\\"\"} 1\n"), std::string::npos)
+      << text;
 }
 
 TEST(Encoders, MergeSumsCountersAndHistograms) {

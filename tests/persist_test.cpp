@@ -1,8 +1,8 @@
-// Durable capture store: CRC32C, WAL note framing and torn-tail tolerance,
-// segment/manifest formats, the PersistEngine write and recovery paths
-// (one segment per append committed by the manifest, note replay,
-// compaction, retention, garbage collection), and the CaptureStore
-// integration (archive-through appends, transparent cold queries).
+// Durable capture store: CRC32C, segment/manifest formats, the
+// PersistEngine write and recovery paths (one capture per segment, every
+// change committed by one manifest, demotion, retention, garbage
+// collection), and the CaptureStore integration (archive-through appends,
+// transparent cold queries).
 //
 // The exhaustive torn-write sweeps live here rather than in the fuzz lane:
 // truncating and byte-flipping a small fixture at *every* offset is cheap
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,29 +75,11 @@ std::string scratch_dir(const std::string& tag) {
   return dir;
 }
 
-std::vector<persist::WalRecord> make_wal_fixture() {
-  return {
-      {persist::WalOp::kDropRaw, {"vp-oslo", 3}},
-      {persist::WalOp::kErase, {"vp-rio", 7}},
-      {persist::WalOp::kDropRaw, {"vp-rio", 2}},
-      {persist::WalOp::kErase, {"vp-oslo", 3}},
-  };
-}
-
-/// Directory of the shard that holds `workspace`.
-fs::path shard_dir(const std::string& dir,
-                   const persist::PersistEngine& engine,
-                   const std::string& workspace) {
-  char name[32];
-  std::snprintf(name, sizeof name, "shard-%03zu", engine.shard_of(workspace));
-  return fs::path{dir} / name;
-}
-
 /// Names of the files under `dir` that start with `prefix`, sorted.
 std::vector<std::string> files_with_prefix(const fs::path& dir,
                                            const std::string& prefix) {
   std::vector<std::string> names;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind(prefix, 0) == 0) names.push_back(name);
   }
@@ -223,65 +206,6 @@ TEST(Crc32c, Sse42CpuSelectsTheInstructionPath) {
 }
 
 // ------------------------------------------------------------------------
-// WAL framing: round-trip plus the exhaustive torn-write sweeps.
-// ------------------------------------------------------------------------
-
-TEST(WalFormat, RoundTripsEveryOpKind) {
-  const auto records = make_wal_fixture();
-  std::string image;
-  for (const auto& r : records) persist::append_wal_record(image, r);
-  const persist::WalReplay replay = persist::parse_wal(image);
-  EXPECT_EQ(replay.clean_bytes, image.size());
-  EXPECT_EQ(replay.dropped_bytes, 0u);
-  ASSERT_EQ(replay.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_TRUE(replay.records[i] == records[i]) << "record " << i;
-  }
-}
-
-TEST(WalFormat, TruncationAtEveryOffsetKeepsAnExactPrefix) {
-  const auto records = make_wal_fixture();
-  std::string image;
-  std::vector<std::size_t> boundaries;  // clean prefix sizes
-  for (const auto& r : records) {
-    persist::append_wal_record(image, r);
-    boundaries.push_back(image.size());
-  }
-  for (std::size_t cut = 0; cut < image.size(); ++cut) {
-    const persist::WalReplay replay = persist::parse_wal(image.substr(0, cut));
-    EXPECT_EQ(replay.clean_bytes + replay.dropped_bytes, cut);
-    // The recovered records are exactly those whose frame fits the cut.
-    std::size_t expected = 0;
-    while (expected < boundaries.size() && boundaries[expected] <= cut) {
-      ++expected;
-    }
-    ASSERT_EQ(replay.records.size(), expected) << "cut " << cut;
-    for (std::size_t i = 0; i < expected; ++i) {
-      EXPECT_TRUE(replay.records[i] == records[i])
-          << "cut " << cut << " record " << i;
-    }
-  }
-}
-
-TEST(WalFormat, ByteFlipAtEveryOffsetNeverYieldsWrongData) {
-  const auto records = make_wal_fixture();
-  std::string image;
-  for (const auto& r : records) persist::append_wal_record(image, r);
-  for (std::size_t pos = 0; pos < image.size(); ++pos) {
-    std::string tampered = image;
-    tampered[pos] ^= 0x41;
-    const persist::WalReplay replay = persist::parse_wal(tampered);
-    EXPECT_EQ(replay.clean_bytes + replay.dropped_bytes, tampered.size());
-    // Never aborts, never invents: whatever survives is a byte-exact prefix.
-    ASSERT_LE(replay.records.size(), records.size()) << "pos " << pos;
-    for (std::size_t i = 0; i < replay.records.size(); ++i) {
-      EXPECT_TRUE(replay.records[i] == records[i])
-          << "pos " << pos << " record " << i;
-    }
-  }
-}
-
-// ------------------------------------------------------------------------
 // Segment format.
 // ------------------------------------------------------------------------
 
@@ -392,16 +316,18 @@ TEST(SegmentFormat, RejectsIndexOffsetPastTheEnd) {
 // Manifest format.
 // ------------------------------------------------------------------------
 
-TEST(ManifestFormat, RoundTripsAndDetectsCorruption) {
+persist::Manifest make_manifest_fixture() {
   persist::Manifest manifest;
   manifest.version = 12;
   manifest.next_seq = 99;
-  manifest.shards = {
-      {{"seg-r-1.blsg", persist::kTierRaw},
-       {"seg-s-2.blsg", persist::kTierSummary}},
-      {},
-      {{"seg-r-3.blsg", persist::kTierRaw}},
-  };
+  manifest.segments = {{"seg-r-1.blsg", persist::kTierRaw},
+                       {"seg-r-2.blsg", persist::kTierSummary},
+                       {"seg-s-3.blsg", persist::kTierSummary}};
+  return manifest;
+}
+
+TEST(ManifestFormat, RoundTripsAndDetectsCorruption) {
+  const persist::Manifest manifest = make_manifest_fixture();
   const std::string image = persist::encode_manifest(manifest);
   const auto parsed = persist::parse_manifest(image);
   ASSERT_TRUE(parsed.ok()) << parsed.error().str();
@@ -416,34 +342,105 @@ TEST(ManifestFormat, RoundTripsAndDetectsCorruption) {
   }
 }
 
+TEST(ManifestFormat, TruncationAtEveryOffsetIsRejected) {
+  // A manifest is the store's only commit record. Any prefix of one is
+  // rejected, so recovery falls back to the previous version rather than
+  // reading a partial catalog.
+  const std::string image = persist::encode_manifest(make_manifest_fixture());
+  for (std::size_t cut = 0; cut < image.size(); ++cut) {
+    EXPECT_FALSE(persist::parse_manifest(image.substr(0, cut)).ok())
+        << "cut " << cut;
+  }
+}
+
 // ------------------------------------------------------------------------
-// PersistEngine: recovery, checkpointing, compaction, retention.
+// PersistEngine: recovery, commits, demotion, retention.
 // ------------------------------------------------------------------------
 
-TEST(PersistEngine, ShardingIsConsistentAndCovering) {
-  const std::string dir = scratch_dir("shard");
-  persist::PersistEngine engine{dir};
-  ASSERT_TRUE(engine.open().ok());
-  EXPECT_EQ(engine.shard_count(), 4u);
-  std::vector<std::size_t> hits(engine.shard_count(), 0);
-  for (int i = 0; i < 64; ++i) {
-    const std::string ws = "vp-" + std::to_string(i);
-    const std::size_t shard = engine.shard_of(ws);
-    ASSERT_LT(shard, engine.shard_count());
-    EXPECT_EQ(engine.shard_of(ws), shard) << "unstable hash for " << ws;
-    ++hits[shard];
+/// The store's layout: regular files only, each a seg-{r,s}-<n>.blsg
+/// segment or one of at most two manifest-<v> files.
+void expect_flat_store(const fs::path& dir) {
+  std::size_t manifests = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(entry.is_regular_file()) << name;
+    if (name.starts_with("manifest-")) {
+      ++manifests;
+      continue;
+    }
+    EXPECT_TRUE((name.starts_with("seg-r-") || name.starts_with("seg-s-")) &&
+                name.ends_with(".blsg"))
+        << name;
   }
-  // The hash must actually spread workspaces around.
-  std::size_t used = 0;
-  for (const std::size_t h : hits) used += h > 0 ? 1 : 0;
-  EXPECT_GE(used, 2u);
+  EXPECT_LE(manifests, 2u);
+}
+
+/// Requires every segment file in `dir` to be, byte for byte, what
+/// build_segment makes of its one capture: the record's raw image in a
+/// seg-r file, its summary image in a seg-s file. Returns each file's id.
+std::map<std::string, CaptureId> expect_canonical_segments(
+    const fs::path& dir,
+    const std::map<CaptureId, persist::SegmentRecord>& records) {
+  std::map<std::string, CaptureId> found;
+  for (const std::string& file : files_with_prefix(dir, "seg-")) {
+    const std::string image = read_all(dir / file);
+    const auto parsed = persist::parse_segment_index(image);
+    if (!parsed.ok() || parsed.value().entries.size() != 1) {
+      ADD_FAILURE() << file << " does not hold exactly one capture";
+      continue;
+    }
+    const CaptureId& id = parsed.value().entries[0].id;
+    const auto it = records.find(id);
+    if (it == records.end()) {
+      ADD_FAILURE() << file << " holds unexpected " << id.str();
+      continue;
+    }
+    const persist::SegmentRecord& r = it->second;
+    const std::uint8_t tier =
+        file.starts_with("seg-r-") ? persist::kTierRaw : persist::kTierSummary;
+    const std::string capture =
+        tier == persist::kTierRaw
+            ? r.capture
+            : ChunkedCapture::summary_image(r.capture).value();
+    EXPECT_TRUE(image == persist::build_segment(
+                             tier, {{r.id, r.name, r.stored_at, capture}}))
+        << file;
+    found.emplace(file, id);
+  }
+  return found;
+}
+
+TEST(PersistEngine, StoreIsOneFlatDirectory) {
+  // Appends, drops, erases and checkpoints, through several restarts, leave
+  // nothing but segment files and the last two manifests in the store's
+  // own directory.
+  const std::string dir = scratch_dir("flat");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(30, 300));
+  const auto id_of = [](std::uint64_t seq) {
+    return CaptureId{"vp-" + std::to_string(seq % 3), seq};
+  };
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    for (std::uint64_t seq = round * 4 + 1; seq <= round * 4 + 4; ++seq) {
+      ASSERT_TRUE(
+          engine.append(id_of(seq), "DEV", TimePoint::from_micros(seq), cc)
+              .ok());
+    }
+    ASSERT_TRUE(engine.drop_raw({id_of(round * 4 + 1)}).ok());
+    ASSERT_TRUE(engine.erase({id_of(round * 4 + 2)}).ok());
+    expect_flat_store(dir);
+    ASSERT_TRUE(engine.checkpoint().ok());
+    expect_flat_store(dir);
+    EXPECT_EQ(engine.size(), 3 * (round + 1));
+  }
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
 
 TEST(PersistEngine, AppendsSurviveWithoutWalOrCheckpoint) {
   // An append is committed by its manifest: a store killed after two
-  // appends, with no checkpoint and nothing journaled, restores both.
+  // appends, with no checkpoint, restores both.
   const std::string dir = scratch_dir("appendrec");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(31, 500));
   {
@@ -457,10 +454,15 @@ TEST(PersistEngine, AppendsSurviveWithoutWalOrCheckpoint) {
                     .append({"vp-b", 2}, "DEV-2",
                             TimePoint::from_micros(2000), cc)
                     .ok());
-    EXPECT_EQ(engine.stats().wal_appends, 0u);
+    EXPECT_EQ(engine.stats().manifest_installs, 2u);
     EXPECT_EQ(engine.stats().checkpoints, 0u);
+    // The same id again is refused and commits nothing.
+    EXPECT_EQ(engine.append({"vp-b", 2}, "DEV-2", TimePoint::epoch(), cc)
+                  .error()
+                  .code,
+              blab::util::ErrorCode::kAlreadyExists);
+    EXPECT_EQ(engine.stats().manifest_installs, 2u);
   }
-  EXPECT_TRUE(files_with_prefix(dir, "wal.log").empty());
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   EXPECT_EQ(engine.size(), 2u);
@@ -480,19 +482,17 @@ TEST(PersistEngine, AppendsSurviveWithoutWalOrCheckpoint) {
 }
 
 TEST(PersistEngine, AppendWritesEachImageOnceIntoItsOwnSegment) {
-  // One write per capture: nothing goes to a WAL, and each append's
-  // segment file is, byte for byte, what build_segment makes of that one
-  // record (header, image, index and trailer), so segment_bytes is the
-  // images plus their headers and footers and nothing else.
+  // One write per capture: each append's segment file is, byte for byte,
+  // what build_segment makes of that one record (header, image, index and
+  // trailer), so segment_bytes is the images plus their headers and
+  // footers and nothing else.
   const std::string dir = scratch_dir("onewrite");
-  persist::PersistOptions options;
-  options.shards = 1;
   ChunkedCapture summary = ChunkedCapture::encode(make_capture(37, 3000));
   summary.drop_raw();
   const ChunkedCapture captures[] = {
       ChunkedCapture::encode(make_capture(36, 9000)), summary,
       ChunkedCapture::encode(make_capture(38, 100), 7)};
-  persist::PersistEngine engine{dir, options};
+  persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   std::vector<std::string> expected;
   std::uint64_t expected_bytes = 0;
@@ -507,21 +507,20 @@ TEST(PersistEngine, AppendWritesEachImageOnceIntoItsOwnSegment) {
         tier, {{id, "DEV", at, std::string{captures[i].serialize()}}}));
     expected_bytes += expected.back().size();
   }
-  EXPECT_EQ(engine.stats().wal_appends, 0u);
-  EXPECT_EQ(engine.stats().wal_bytes, 0u);
+  EXPECT_EQ(engine.stats().manifest_installs, std::size(captures));
   EXPECT_EQ(engine.stats().checkpoints, 0u);
   EXPECT_EQ(engine.stats().segment_flushes, std::size(captures));
   EXPECT_EQ(engine.stats().segment_bytes, expected_bytes);
   // Segment numbers follow append order: seg-r-1, seg-s-2, seg-r-3.
-  const fs::path shard = fs::path{dir} / "shard-000";
-  EXPECT_TRUE(read_all(shard / "seg-r-1.blsg") == expected[0]);
-  EXPECT_TRUE(read_all(shard / "seg-s-2.blsg") == expected[1]);
-  EXPECT_TRUE(read_all(shard / "seg-r-3.blsg") == expected[2]);
+  const fs::path root{dir};
+  EXPECT_TRUE(read_all(root / "seg-r-1.blsg") == expected[0]);
+  EXPECT_TRUE(read_all(root / "seg-s-2.blsg") == expected[1]);
+  EXPECT_TRUE(read_all(root / "seg-r-3.blsg") == expected[2]);
   EXPECT_EQ(files_with_prefix(dir, "seg-").size(), std::size(captures));
-  EXPECT_FALSE(fs::exists(shard / "wal.log"));
   // Each append installed a manifest; only it and its predecessor remain.
   EXPECT_EQ(files_with_prefix(dir, "manifest-"),
             (std::vector<std::string>{"manifest-2", "manifest-3"}));
+  expect_flat_store(dir);
   const auto info = engine.info({"vp-1", 2});
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->raw_dropped);
@@ -535,32 +534,30 @@ TEST(PersistEngine, FailedAppendLeavesNoEntryAndItsFileIsCollected) {
   // failure may leave an index or catalog entry, and the segment the
   // second one left behind is garbage at the next open.
   const std::string dir = scratch_dir("failappend");
-  persist::PersistOptions options;
-  options.shards = 1;
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(39, 300));
-  const fs::path shard = fs::path{dir} / "shard-000";
+  const fs::path root{dir};
   {
-    persist::PersistEngine engine{dir, options};
+    persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
     ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
                     .ok());
-    fs::create_directory(shard / "seg-r-2.blsg.tmp");
+    fs::create_directory(root / "seg-r-2.blsg.tmp");
     EXPECT_FALSE(
         engine.append({"vp-a", 2}, "DEV", TimePoint::epoch(), cc).ok());
     EXPECT_FALSE(engine.contains({"vp-a", 2}));
-    fs::create_directory(fs::path{dir} / "manifest-2.tmp");
+    fs::create_directory(root / "manifest-2.tmp");
     EXPECT_FALSE(
         engine.append({"vp-a", 3}, "DEV", TimePoint::epoch(), cc).ok());
     EXPECT_FALSE(engine.contains({"vp-a", 3}));
-    EXPECT_TRUE(fs::exists(shard / "seg-r-3.blsg"));  // renamed, unlisted
+    EXPECT_TRUE(fs::exists(root / "seg-r-3.blsg"));  // renamed, unlisted
     EXPECT_EQ(engine.size(), 1u);
     EXPECT_EQ(engine.next_seq(), 2u);
-    fs::remove(fs::path{dir} / "manifest-2.tmp");
+    fs::remove(root / "manifest-2.tmp");
     // The next append commits a manifest without the failed segment.
     ASSERT_TRUE(engine.append({"vp-a", 4}, "DEV", TimePoint::epoch(), cc)
                     .ok());
   }
-  persist::PersistEngine engine{dir, options};
+  persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   EXPECT_EQ(engine.size(), 2u);
   EXPECT_TRUE(engine.contains({"vp-a", 1}));
@@ -571,19 +568,75 @@ TEST(PersistEngine, FailedAppendLeavesNoEntryAndItsFileIsCollected) {
   fs::remove_all(dir, ec);
 }
 
+TEST(PersistEngine, FailedInstallLeavesIndexAndCatalogUnchanged) {
+  // A directory squatting on manifest-<v+1>.tmp fails the next install.
+  // A drop, an erase and a demoting checkpoint that cannot commit leave
+  // the index, the catalog and the files exactly as they were; once the
+  // squatter is gone each commits with one manifest.
+  const std::string dir = scratch_dir("failinstall");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(44, 300));
+  const fs::path root{dir};
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    ASSERT_TRUE(engine
+                    .append({"vp-a", seq}, "DEV", TimePoint::from_micros(seq),
+                            cc)
+                    .ok());
+  }
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 3}}).ok());  // manifest-4
+  const auto catalog = [&engine] {
+    std::string out;
+    engine.scan_catalog(TimePoint::epoch(), TimePoint::max(),
+                        [&out](const persist::PersistEngine::EntryInfo& e) {
+                          out += e.id.str() + (e.raw_dropped ? " s;" : " r;");
+                        });
+    return out;
+  };
+  fs::create_directory(root / "manifest-5.tmp");
+  const std::string before = catalog();
+  const auto files = files_with_prefix(dir, "");
+  const auto installs = engine.stats().manifest_installs;
+
+  EXPECT_FALSE(engine.drop_raw({{"vp-a", 1}}).ok());
+  EXPECT_FALSE(engine.erase({{"vp-a", 2}}).ok());
+  EXPECT_FALSE(engine.checkpoint().ok());
+  EXPECT_EQ(catalog(), before);
+  EXPECT_EQ(engine.size(), 3u);
+  EXPECT_EQ(engine.stats().manifest_installs, installs);
+  EXPECT_EQ(engine.stats().checkpoints, 0u);
+  // The checkpoint's summary segment was written, then left unlisted.
+  auto after = files_with_prefix(dir, "");
+  after.erase(std::remove(after.begin(), after.end(), "seg-s-4.blsg"),
+              after.end());
+  EXPECT_EQ(after, files);
+  auto raw = engine.load({"vp-a", 1});
+  ASSERT_TRUE(raw.ok());
+  EXPECT_TRUE(raw.value().raw_available());
+  ASSERT_TRUE(engine.load({"vp-a", 3}).ok());
+
+  fs::remove(root / "manifest-5.tmp");
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 1}}).ok());
+  ASSERT_TRUE(engine.erase({{"vp-a", 2}}).ok());
+  ASSERT_TRUE(engine.checkpoint().ok());
+  EXPECT_EQ(engine.stats().manifest_installs, installs + 3);
+  EXPECT_EQ(catalog(), "vp-a#1 s;vp-a#3 s;");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(PersistEngine, CrashBetweenSegmentRenameAndManifestInstall) {
   // A crash after an append renamed its segment but before its manifest
   // was installed leaves a well-formed segment no manifest lists. It was
   // never acknowledged: open() deletes it and indexes nothing from it.
   const std::string dir = scratch_dir("unlisted");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(40, 200));
-  fs::path orphan;
+  const fs::path orphan = fs::path{dir} / "seg-r-99.blsg";
   {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
     ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
                     .ok());
-    orphan = shard_dir(dir, engine, "vp-ghost") / "seg-r-99.blsg";
   }
   {
     std::ofstream out{orphan, std::ios::binary};
@@ -604,20 +657,19 @@ TEST(PersistEngine, CrashBetweenSegmentRenameAndManifestInstall) {
 
 TEST(PersistEngine, OpenCollectsTmpLeftovers) {
   // A crash between a temp write and its rename leaves <file>.tmp behind,
-  // in a shard directory (segments) or at the root (manifests). open()
-  // removes both kinds, so disk usage no longer counts them.
+  // for a segment or a manifest. open() removes both kinds, so disk usage
+  // no longer counts them.
   const std::string dir = scratch_dir("tmpgc");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(41, 200));
   std::uint64_t usage = 0;
-  fs::path segment_tmp;
   {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
     ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::epoch(), cc)
                     .ok());
     usage = engine.disk_usage_bytes();
-    segment_tmp = shard_dir(dir, engine, "vp-a") / "seg-r-2.blsg.tmp";
   }
+  const fs::path segment_tmp = fs::path{dir} / "seg-r-2.blsg.tmp";
   const fs::path manifest_tmp = fs::path{dir} / "manifest-2.tmp";
   for (const fs::path& path : {segment_tmp, manifest_tmp}) {
     std::ofstream out{path, std::ios::binary};
@@ -633,59 +685,156 @@ TEST(PersistEngine, OpenCollectsTmpLeftovers) {
   fs::remove_all(dir, ec);
 }
 
-TEST(PersistEngine, WalHoldsExactlyTheAppendedFramesAndReplays) {
-  // Only drop-raw and erase notes reach the WAL: the file must be, byte
-  // for byte, the frames append_wal_record builds for them, and replaying
-  // them over the appends' segments must restore the store.
-  const std::string dir = scratch_dir("wal-bytes");
-  persist::PersistOptions options;
-  options.shards = 1;
-  const ChunkedCapture raw = ChunkedCapture::encode(make_capture(31, 9000));
-  ChunkedCapture summary = ChunkedCapture::encode(make_capture(32, 5000));
+TEST(PersistEngine, DropAndEraseInstallOneManifestPerCall) {
+  // Each drop or erase call commits all of its ids with exactly one
+  // manifest install, whatever their number; a call that changes nothing
+  // (no ids, unknown ids, drops of captures already summary) installs
+  // none. Erased files are gone once the call returns; dropped ones stay
+  // raw segments until a checkpoint.
+  const std::string dir = scratch_dir("onecommit");
+  const ChunkedCapture raw = ChunkedCapture::encode(make_capture(31, 900));
+  ChunkedCapture summary = ChunkedCapture::encode(make_capture(32, 500));
   summary.drop_raw();
-  const ChunkedCapture small = ChunkedCapture::encode(make_capture(33, 100), 7);
-  ChunkedCapture raw_dropped = raw;
-  raw_dropped.drop_raw();
-
-  std::string expected;
-  const auto frame = [&](persist::WalOp op, const CaptureId& id) {
-    persist::append_wal_record(expected, persist::WalRecord{op, id});
-  };
-  {
-    persist::PersistEngine engine{dir, options};
-    ASSERT_TRUE(engine.open().ok());
-    const TimePoint t1 = TimePoint::from_micros(1'000'000);
-    const TimePoint t2 = TimePoint::from_micros(2'000'000);
-    const TimePoint t3 = TimePoint::from_micros(3'000'000);
-    ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV-1", t1, raw).ok());
-    ASSERT_TRUE(engine.append({"vp-b", 2}, "DEV-2", t2, summary).ok());
-    ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());
-    frame(persist::WalOp::kDropRaw, {"vp-a", 1});
-    ASSERT_TRUE(engine.append({"vp-a", 3}, "", t3, small).ok());
-    ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());  // dropped: no frame
-    ASSERT_TRUE(engine.note_drop_raw({"vp-b", 2}).ok());  // summary: no frame
-    ASSERT_TRUE(engine.note_erase({"vp-b", 2}).ok());
-    frame(persist::WalOp::kErase, {"vp-b", 2});
-    ASSERT_TRUE(engine.note_erase({"vp-z", 9}).ok());  // unknown: no frame
-    EXPECT_EQ(engine.stats().wal_appends, 2u);
-    EXPECT_EQ(engine.stats().wal_bytes, expected.size());
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+    ASSERT_TRUE(engine
+                    .append({"vp-a", seq}, "DEV", TimePoint::from_micros(seq),
+                            seq == 6 ? summary : raw)
+                    .ok());
   }
-  const std::string wal = read_all(fs::path{dir} / "shard-000" / "wal.log");
-  EXPECT_TRUE(wal == expected) << "wal.log " << wal.size()
-                               << " B, frames " << expected.size() << " B";
+  const auto installs = [&engine] {
+    return engine.stats().manifest_installs;
+  };
+  const auto base = installs();
 
-  persist::PersistEngine reopened{dir, options};
-  ASSERT_TRUE(reopened.open().ok());
-  EXPECT_EQ(reopened.stats().torn_tail_bytes, 0u);
-  ASSERT_EQ(reopened.size(), 2u);
-  EXPECT_FALSE(reopened.contains({"vp-b", 2}));
-  auto first = reopened.load({"vp-a", 1});
-  ASSERT_TRUE(first.ok()) << first.error().message;
-  EXPECT_EQ(first.value().serialize(), raw_dropped.serialize());
-  auto third = reopened.load({"vp-a", 3});
-  ASSERT_TRUE(third.ok()) << third.error().message;
-  EXPECT_EQ(third.value().serialize(), small.serialize());
-  fs::remove_all(dir);
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 1}, {"vp-a", 2}, {"vp-a", 3}}).ok());
+  EXPECT_EQ(installs(), base + 1);
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 4}}).ok());
+  EXPECT_EQ(installs(), base + 2);
+  ASSERT_TRUE(engine.erase({{"vp-a", 4}, {"vp-a", 5}}).ok());
+  EXPECT_EQ(installs(), base + 3);
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            (std::vector<std::string>{"seg-r-1.blsg", "seg-r-2.blsg",
+                                      "seg-r-3.blsg", "seg-s-6.blsg"}));
+  EXPECT_EQ(engine.stats().segments_deleted, 2u);
+
+  // Nothing to change: no install.
+  ASSERT_TRUE(engine.drop_raw({}).ok());
+  ASSERT_TRUE(engine.erase({}).ok());
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 1}, {"vp-a", 6}, {"vp-z", 9}}).ok());
+  ASSERT_TRUE(engine.erase({{"vp-a", 5}, {"vp-z", 9}}).ok());
+  EXPECT_EQ(installs(), base + 3);
+  EXPECT_EQ(files_with_prefix(dir, "manifest-"),
+            (std::vector<std::string>{"manifest-8", "manifest-9"}));
+  EXPECT_EQ(engine.stats().checkpoints, 0u);
+  EXPECT_EQ(engine.stats().segment_flushes, 6u);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    const auto info = engine.info({"vp-a", seq});
+    ASSERT_TRUE(info.has_value());
+    EXPECT_TRUE(info->raw_dropped) << seq;
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, CommittedDropSurvivesRestartBeforeCheckpoint) {
+  // A committed raw drop is in the manifest before any checkpoint demotes
+  // its file. A restart in between recovers the capture as a summary: the
+  // store reports its tier, range() fails, and load() returns the summary
+  // image. The next checkpoint then writes its seg-s file and deletes the
+  // raw one.
+  const std::string dir = scratch_dir("dropsurvives");
+  const Capture original = make_capture(33, 1200);
+  ChunkedCapture summary = ChunkedCapture::encode(original);
+  summary.drop_raw();
+  CaptureId id;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    CaptureStore store;
+    store.attach_persistence(&engine);
+    id = store.append("vp-x", "DEV", original, TimePoint::from_micros(500));
+    (void)store.append("vp-y", "DEV", original, TimePoint::from_micros(600));
+    ASSERT_EQ(store.drop_workspace_raw("vp-x"), 1u);
+    EXPECT_EQ(engine.stats().checkpoints, 0u);
+  }
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            (std::vector<std::string>{"seg-r-1.blsg", "seg-r-2.blsg"}));
+
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(&engine);
+  EXPECT_EQ(engine.size(), 2u);
+  auto source = store.source_of(id);
+  ASSERT_TRUE(source.ok());
+  EXPECT_EQ(source.value(), CaptureSource::kTier);
+  auto loaded = engine.load(id);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+  EXPECT_EQ(loaded.value().serialize(), summary.serialize());
+  const auto range = store.range(id, TimePoint::epoch(), TimePoint::max());
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(range.error().code, blab::util::ErrorCode::kFailedPrecondition);
+
+  ASSERT_TRUE(engine.checkpoint().ok());
+  EXPECT_EQ(engine.stats().checkpoints, 1u);
+  EXPECT_EQ(engine.stats().demotions, 1u);
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            (std::vector<std::string>{"seg-r-2.blsg", "seg-s-3.blsg"}));
+  EXPECT_TRUE(read_all(fs::path{dir} / "seg-s-3.blsg") ==
+              persist::build_segment(
+                  persist::kTierSummary,
+                  {{id, "DEV", TimePoint::from_micros(500),
+                    std::string{summary.serialize()}}}));
+  // Demoted: a second checkpoint has nothing to do.
+  ASSERT_TRUE(engine.checkpoint().ok());
+  EXPECT_EQ(engine.stats().checkpoints, 1u);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, RecoveryDropsSegmentsBreakingTheOneCaptureInvariant) {
+  // A listed segment must hold exactly one capture, and a manifest that
+  // says raw cannot list a summary segment. Recovery drops any that break
+  // this, counts them, and keeps the rest.
+  const std::string dir = scratch_dir("invariant");
+  const fs::path root{dir};
+  const std::string cc = capture_bytes(45, 120);
+  const auto write = [&root](const std::string& file, const std::string& s) {
+    std::ofstream out{root / file, std::ios::binary};
+    out.write(s.data(), static_cast<std::streamsize>(s.size()));
+  };
+  write("seg-r-1.blsg",
+        persist::build_segment(
+            persist::kTierRaw, {{{"vp-a", 1}, "DEV", TimePoint::epoch(), cc},
+                                {{"vp-a", 2}, "DEV", TimePoint::epoch(), cc}}));
+  write("seg-s-2.blsg",
+        persist::build_segment(persist::kTierSummary,
+                               {{{"vp-b", 3}, "DEV", TimePoint::epoch(),
+                                 ChunkedCapture::summary_image(cc).value()}}));
+  write("seg-r-3.blsg", persist::build_segment(persist::kTierRaw, {}));
+  write("seg-r-4.blsg",
+        persist::build_segment(persist::kTierRaw,
+                               {{{"vp-c", 4}, "DEV", TimePoint::epoch(), cc}}));
+  persist::Manifest manifest;
+  manifest.version = 1;
+  manifest.next_seq = 5;
+  manifest.segments = {{"seg-r-1.blsg", persist::kTierRaw},
+                       {"seg-s-2.blsg", persist::kTierRaw},
+                       {"seg-r-3.blsg", persist::kTierRaw},
+                       {"seg-r-4.blsg", persist::kTierRaw}};
+  write("manifest-1", persist::encode_manifest(manifest));
+
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_EQ(engine.stats().segments_dropped, 3u);
+  EXPECT_EQ(engine.size(), 1u);
+  EXPECT_TRUE(engine.contains({"vp-c", 4}));
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            std::vector<std::string>{"seg-r-4.blsg"});
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(PersistEngine, CheckpointInstallsManifestAndSurvivesRestart) {
@@ -700,17 +849,14 @@ TEST(PersistEngine, CheckpointInstallsManifestAndSurvivesRestart) {
                               TimePoint::from_micros(1000 * s), cc)
                       .ok());
     }
-    ASSERT_TRUE(engine.note_drop_raw({"vp-1", 1}).ok());
+    ASSERT_TRUE(engine.drop_raw({{"vp-1", 1}}).ok());
     ASSERT_TRUE(engine.checkpoint().ok());
-    EXPECT_GE(engine.stats().segment_flushes, 1u);
-    EXPECT_GE(engine.stats().checkpoints, 1u);
-    // The WALs are truncated: a second checkpoint with nothing pending is
-    // a no-op (no new manifest version).
+    EXPECT_EQ(engine.stats().segment_flushes, 7u);
+    EXPECT_EQ(engine.stats().checkpoints, 1u);
   }
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   EXPECT_EQ(engine.size(), 6u);
-  EXPECT_EQ(engine.stats().torn_tail_bytes, 0u);
   EXPECT_EQ(engine.next_seq(), 7u);
   const auto dropped = engine.info({"vp-1", 1});
   ASSERT_TRUE(dropped.has_value());
@@ -733,16 +879,16 @@ TEST(PersistEngine, CheckpointCausesAreCountedAndLabeled) {
   blab::obs::MetricsRegistry registry;
   engine.attach_metrics(&registry);
 
-  // Each checkpoint has a note to fold; one with nothing to do is not run.
+  // Each checkpoint has a drop to demote; one with nothing to do is not run.
   ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::from_micros(1), cc)
                   .ok());
-  ASSERT_TRUE(engine.note_drop_raw({"vp-a", 1}).ok());
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 1}}).ok());
   ASSERT_TRUE(engine.checkpoint(persist::CheckpointCause::kScheduled).ok());
   ASSERT_TRUE(engine.append({"vp-a", 2}, "DEV", TimePoint::from_micros(2), cc)
                   .ok());
-  ASSERT_TRUE(engine.note_erase({"vp-a", 2}).ok());
+  ASSERT_TRUE(engine.drop_raw({{"vp-a", 2}}).ok());
   ASSERT_TRUE(engine.checkpoint().ok());  // default: manual
-  ASSERT_TRUE(engine.checkpoint().ok());  // nothing to fold
+  ASSERT_TRUE(engine.checkpoint().ok());  // nothing to demote
 
   const auto& by_cause = engine.stats().checkpoints_by_cause;
   EXPECT_EQ(by_cause[static_cast<std::size_t>(
@@ -760,6 +906,8 @@ TEST(PersistEngine, CheckpointCausesAreCountedAndLabeled) {
   EXPECT_EQ(snap.value_or("blab_persist_checkpoints_total",
                           {{"cause", "manual"}}),
             1.0);
+  EXPECT_EQ(snap.value_or("blab_persist_demotions_total"), 2.0);
+  EXPECT_EQ(snap.value_or("blab_persist_manifest_installs_total"), 6.0);
   EXPECT_STREQ(
       persist::checkpoint_cause_name(persist::CheckpointCause::kRetention),
       "retention");
@@ -800,100 +948,34 @@ TEST(PersistEngine, ScanCatalogVisitsWindowAscendingById) {
   fs::remove_all(dir, ec);
 }
 
-TEST(PersistEngine, CrashBetweenWalAndCheckpointReplaysIdempotently) {
-  // A crash between a checkpoint's manifest install and its WAL truncation
-  // leaves notes the installed manifest has already folded. Replaying them
-  // must change nothing.
-  const std::string dir = scratch_dir("idem");
-  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(33, 200));
-  ChunkedCapture summary = cc;
-  summary.drop_raw();
-  std::string wal;
-  fs::path wal_path;
-  {
-    persist::PersistEngine engine{dir};
-    ASSERT_TRUE(engine.open().ok());
-    for (std::uint64_t seq = 1; seq <= 2; ++seq) {
-      ASSERT_TRUE(engine
-                      .append({"vp-x", seq}, "DEV",
-                              TimePoint::from_micros(500), cc)
-                      .ok());
-    }
-    ASSERT_TRUE(engine.note_drop_raw({"vp-x", 1}).ok());
-    ASSERT_TRUE(engine.note_erase({"vp-x", 2}).ok());
-    wal_path = shard_dir(dir, engine, "vp-x") / "wal.log";
-    wal = read_all(wal_path);
-    ASSERT_FALSE(wal.empty());
-    ASSERT_TRUE(engine.checkpoint().ok());
-    EXPECT_EQ(fs::file_size(wal_path), 0u);
-  }
-  // Put the folded notes back, as if the truncation never happened.
-  {
-    std::ofstream out{wal_path, std::ios::binary | std::ios::trunc};
-    out.write(wal.data(), static_cast<std::streamsize>(wal.size()));
-  }
-  persist::PersistEngine engine{dir};
-  ASSERT_TRUE(engine.open().ok());
-  EXPECT_EQ(engine.size(), 1u);
-  EXPECT_FALSE(engine.contains({"vp-x", 2}));
-  EXPECT_EQ(engine.next_seq(), 3u);
-  auto loaded = engine.load({"vp-x", 1});
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().serialize(), summary.serialize());
-  // The replayed notes dirtied nothing: folding them rewrites no segment.
-  const auto compactions = engine.stats().compactions;
-  ASSERT_TRUE(engine.checkpoint().ok());
-  EXPECT_EQ(engine.stats().compactions, compactions);
-  EXPECT_EQ(fs::file_size(wal_path), 0u);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-}
-
 TEST(PersistEngine, CorruptSegmentTrailerDropsOnlyThatSegment) {
   const std::string dir = scratch_dir("seggone");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(34, 100));
-  std::string victim_ws;
   {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
-    // Two workspaces on different shards, so they land in different files.
-    victim_ws = "vp-a";
-    std::string other = "vp-b";
-    for (int i = 0; engine.shard_of(other) == engine.shard_of(victim_ws);
-         ++i) {
-      other = "vp-" + std::to_string(i);
-    }
     ASSERT_TRUE(engine
-                    .append({victim_ws, 1}, "DEV",
-                            TimePoint::from_micros(100), cc)
-                    .ok());
-    ASSERT_TRUE(engine
-                    .append({other, 2}, "DEV", TimePoint::from_micros(200),
+                    .append({"vp-a", 1}, "DEV", TimePoint::from_micros(100),
                             cc)
                     .ok());
-    ASSERT_TRUE(engine.checkpoint().ok());
+    ASSERT_TRUE(engine
+                    .append({"vp-b", 2}, "DEV", TimePoint::from_micros(200),
+                            cc)
+                    .ok());
   }
-  // Smash the victim shard's segment trailer.
+  // Smash the victim's segment trailer.
   {
-    persist::PersistEngine probe{dir};
-    ASSERT_TRUE(probe.open().ok());
-    char name[32];
-    std::snprintf(name, sizeof name, "shard-%03zu",
-                  probe.shard_of(victim_ws));
-    for (const auto& entry :
-         fs::directory_iterator(fs::path{dir} / name)) {
-      if (entry.path().extension() != ".blsg") continue;
-      std::fstream f{entry.path(),
-                     std::ios::binary | std::ios::in | std::ios::out};
-      f.seekp(-4, std::ios::end);
-      f.write("XXXX", 4);
-    }
+    std::fstream f{fs::path{dir} / "seg-r-1.blsg",
+                   std::ios::binary | std::ios::in | std::ios::out};
+    f.seekp(-4, std::ios::end);
+    f.write("XXXX", 4);
   }
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());  // recovery proceeds, with a loss report
   EXPECT_EQ(engine.stats().segments_dropped, 1u);
-  EXPECT_FALSE(engine.contains({victim_ws, 1}));
-  EXPECT_EQ(engine.size(), 1u);  // the other shard's record is untouched
+  EXPECT_FALSE(engine.contains({"vp-a", 1}));
+  EXPECT_EQ(engine.size(), 1u);  // the other capture is untouched
+  EXPECT_FALSE(fs::exists(fs::path{dir} / "seg-r-1.blsg"));
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -902,8 +984,8 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
   // A byte flipped inside a raw segment's capture, after the append wrote
   // it, is caught on both read-backs against the CRC its index entry
   // recorded: load() and the checkpoint that would demote it into a
-  // summary segment. The failed checkpoint installs no manifest, writes
-  // no segment and keeps the WAL. Appended and recovered entries both.
+  // summary segment. The failed checkpoint installs no manifest and writes
+  // no segment. Appended and recovered entries both.
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(35, 400));
   const std::size_t capture_size = cc.serialize().size();
   const CaptureId id{"vp-a", 1};
@@ -914,8 +996,7 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
     ASSERT_TRUE(engine->open().ok());
     ASSERT_TRUE(
         engine->append(id, "DEV", TimePoint::from_micros(100), cc).ok());
-    const fs::path shard = shard_dir(dir, *engine, id.workspace);
-    const fs::path segment = shard / "seg-r-1.blsg";
+    const fs::path segment = fs::path{dir} / "seg-r-1.blsg";
     ASSERT_TRUE(fs::exists(segment));
     if (recovered) {
       engine = std::make_unique<persist::PersistEngine>(dir);
@@ -935,13 +1016,11 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
     const auto loaded = engine->load(id);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
-    ASSERT_TRUE(engine->note_drop_raw(id).ok());
-    const auto wal_size = fs::file_size(shard / "wal.log");
+    ASSERT_TRUE(engine->drop_raw({id}).ok());
     const auto manifests = files_with_prefix(dir, "manifest-");
     const auto st = engine->checkpoint();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.error().code, blab::util::ErrorCode::kUnavailable);
-    EXPECT_EQ(fs::file_size(shard / "wal.log"), wal_size);
     EXPECT_EQ(files_with_prefix(dir, "manifest-"), manifests);
     EXPECT_EQ(files_with_prefix(dir, "seg-"),
               std::vector<std::string>{"seg-r-1.blsg"});
@@ -952,41 +1031,63 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
 }
 
 TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
+  // Each retention pass erases the summary-expired captures and demotes the
+  // raw-expired ones. Afterwards every segment holds one capture, byte for
+  // byte build_segment of it at its tier, and every erased capture's file
+  // is gone.
   const std::string dir = scratch_dir("ttl");
   RetentionPolicy policy;
   policy.raw_ttl = Duration::minutes(30);
   policy.summary_ttl = Duration::minutes(240);
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
-  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(35, 2000));
-  ASSERT_TRUE(
-      engine.append({"vp-old", 1}, "DEV", TimePoint::epoch(), cc).ok());
-  ASSERT_TRUE(engine
-                  .append({"vp-new", 2}, "DEV",
-                          TimePoint::epoch() + Duration::minutes(200), cc)
-                  .ok());
-  ASSERT_TRUE(engine.checkpoint().ok());
+  std::map<CaptureId, persist::SegmentRecord> records;
+  const std::pair<const char*, int> stamps[] = {
+      {"vp-old", 0}, {"vp-mid", 100}, {"vp-new", 200}};
+  for (std::uint64_t i = 0; i < std::size(stamps); ++i) {
+    const CaptureId id{stamps[i].first, i + 1};
+    const TimePoint at =
+        TimePoint::epoch() + Duration::minutes(stamps[i].second);
+    const ChunkedCapture cc = ChunkedCapture::encode(make_capture(50 + i, 2000));
+    ASSERT_TRUE(engine.append(id, "DEV", at, cc).ok());
+    records[id] = {id, "DEV", at, std::string{cc.serialize()}};
+  }
   const std::uint64_t before = engine.disk_usage_bytes();
 
-  // vp-old is 210 minutes past its raw TTL; vp-new is only 10 minutes old.
+  // vp-old and vp-mid are past their raw TTL; vp-new is 10 minutes old.
   const TimePoint t1 = TimePoint::epoch() + Duration::minutes(210);
   const std::uint64_t reclaimed1 = engine.run_retention(t1, policy);
   EXPECT_GT(reclaimed1, 0u);
   EXPECT_LT(engine.disk_usage_bytes(), before);
-  ASSERT_TRUE(engine.contains({"vp-old", 1}));
   auto demoted = engine.load({"vp-old", 1});
   ASSERT_TRUE(demoted.ok());
   EXPECT_FALSE(demoted.value().raw_available());
-  auto fresh = engine.load({"vp-new", 2});
+  auto fresh = engine.load({"vp-new", 3});
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh.value().raw_available());
+  auto files = expect_canonical_segments(dir, records);
+  ASSERT_EQ(files.size(), 3u);
+  std::string old_file;
+  for (const auto& [file, id] : files) {
+    EXPECT_EQ(file.starts_with("seg-s-"), id.workspace != "vp-new") << file;
+    if (id.workspace == "vp-old") old_file = file;
+  }
+  EXPECT_EQ(engine.stats().demotions, 2u);
+  EXPECT_EQ(engine.stats().segments_deleted, 2u);
 
-  // Past the summary TTL: vp-old disappears entirely.
+  // Past the summary TTL: vp-old disappears with its file, and vp-new is
+  // demoted in turn.
   const TimePoint t2 = TimePoint::epoch() + Duration::minutes(241);
   (void)engine.run_retention(t2, policy);
   EXPECT_FALSE(engine.contains({"vp-old", 1}));
-  EXPECT_TRUE(engine.contains({"vp-new", 2}));
+  EXPECT_TRUE(engine.contains({"vp-new", 3}));
+  EXPECT_FALSE(fs::exists(fs::path{dir} / old_file));
+  files = expect_canonical_segments(dir, records);
+  ASSERT_EQ(files.size(), 2u);
+  for (const auto& [file, id] : files) EXPECT_TRUE(file.starts_with("seg-s-"));
+  EXPECT_EQ(engine.stats().segments_deleted, 4u);
   EXPECT_GE(engine.stats().retention_bytes_reclaimed, reclaimed1);
+  expect_flat_store(dir);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -1070,7 +1171,7 @@ TEST(PersistentStore, SourceOfReportsTierAfterRawDrop) {
   ASSERT_TRUE(src.ok());
   EXPECT_EQ(src.value(), CaptureSource::kTier);
   EXPECT_STREQ(blab::store::capture_source_name(src.value()), "tier");
-  // The purge was journaled: a restart still has no raw tier.
+  // The purge was committed: a restart still has no raw tier.
   persist::PersistEngine engine2{dir};
   ASSERT_TRUE(engine2.open().ok());
   auto loaded = engine2.load(id);
