@@ -4,66 +4,41 @@
 // region is exactly what GET /flame does per request, so the pinned
 // flame_spans_per_s metric gates the analytics path's performance.
 //
-// Usage: flame_aggregate [--seeds=N] [--rounds=N] [--iters=N] [--out=P]
+// Usage: flame_aggregate [--seeds=N] [--rounds=N] [--iters=N]
 //   --seeds=N   corpus size used to grow the span forests (default 40)
 //   --rounds=N  repetitions; the best round is reported (default 5)
 //   --iters=N   aggregation passes per round (default 50)
-//   --out=P     also write the JSON result object to P (the BENCH_flame.json
-//               artifact ci_bench.sh archives)
 //
-// Emits one JSON object on stdout so ci_bench.sh can fold the numbers into
-// BENCH_core.json; exits non-zero if the corpus trips an oracle or yields an
-// empty span forest (a perf number from a broken run would be meaningless).
+// Prints one flat JSON result (bench/report.hpp) whose flame_spans_per_s is
+// pinned in BENCH_core.json; exits non-zero if the corpus trips an oracle or
+// yields an empty span forest (a perf number from a broken run would be
+// meaningless).
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "obs/aggregate.hpp"
 #include "testing/harness.hpp"
 #include "testing/scenario.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 using namespace blab;
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-void emit(std::ostream& os, const char* key, double value, bool last = false) {
-  os << "  \"" << key << "\": " << util::format_double(value, 3)
-     << (last ? "\n" : ",\n");
-}
-
-unsigned long flag_value(std::string_view arg, std::string_view name) {
-  return std::strtoul(arg.substr(name.size()).data(), nullptr, 10);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::size_t n_seeds = 40;
   int rounds = 5;
   int iters = 50;
-  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--seeds=", 0) == 0) {
-      n_seeds = flag_value(arg, "--seeds=");
+      n_seeds = bench::flag_value(arg, "--seeds=");
     } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = static_cast<int>(flag_value(arg, "--rounds="));
+      rounds = static_cast<int>(bench::flag_value(arg, "--rounds="));
     } else if (arg.rfind("--iters=", 0) == 0) {
-      iters = static_cast<int>(flag_value(arg, "--iters="));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+      iters = static_cast<int>(bench::flag_value(arg, "--iters="));
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;
@@ -111,31 +86,21 @@ int main(int argc, char** argv) {
       }
       paths = path_count;
     }
-    const double wall = seconds_since(t0);
+    const double wall = bench::seconds_since(t0);
     if (wall < best_s) best_s = wall;
   }
 
   const double folded =
       static_cast<double>(total_spans) * static_cast<double>(iters);
-  std::ostringstream doc;
-  doc << "{\n";
-  emit(doc, "seeds", static_cast<double>(seeds.size()));
-  emit(doc, "spans", static_cast<double>(total_spans));
-  emit(doc, "critical_paths", static_cast<double>(paths));
-  emit(doc, "iters", static_cast<double>(iters));
-  emit(doc, "rounds", static_cast<double>(rounds));
-  emit(doc, "best_wall_s", best_s);
-  emit(doc, "flame_builds_per_s", static_cast<double>(iters) / best_s);
-  emit(doc, "flame_spans_per_s", folded / best_s, /*last=*/true);
-  doc << "}\n";
-  std::cout << doc.str();
-  if (!out_path.empty()) {
-    std::ofstream out{out_path};
-    if (!out) {
-      std::cerr << "cannot write artifact: " << out_path << "\n";
-      return 2;
-    }
-    out << doc.str();
-  }
+  bench::print_result(
+      std::cout,
+      {{"seeds", static_cast<double>(seeds.size())},
+       {"spans", static_cast<double>(total_spans)},
+       {"critical_paths", static_cast<double>(paths)},
+       {"iters", static_cast<double>(iters)},
+       {"rounds", static_cast<double>(rounds)},
+       {"best_wall_s", best_s},
+       {"flame_builds_per_s", static_cast<double>(iters) / best_s},
+       {"flame_spans_per_s", folded / best_s}});
   return sink == 0 ? 1 : 0;
 }

@@ -6,53 +6,34 @@
 // engine's read path.
 //
 // Usage: health_rollup [--captures=N] [--samples=N] [--rounds=N] [--iters=N]
-//                      [--out=P]
 //   --captures=N  catalog size (default 400)
 //   --samples=N   samples per capture (default 6000; 1.2 s at 5 kHz)
 //   --rounds=N    repetitions; the best round is reported (default 5)
 //   --iters=N     fleet+job+vantage compute passes per round (default 20)
-//   --out=P       also write the JSON result object to P (the
-//                 BENCH_health.json artifact ci_bench.sh archives)
 //
-// Emits one JSON object on stdout so ci_bench.sh can fold the numbers into
-// BENCH_core.json; exits non-zero if the fold disagrees with an independent
-// sum over the same footers (a perf number from a wrong rollup would be
-// meaningless).
+// Prints one flat JSON result (bench/report.hpp) whose rollup_captures_per_s
+// is pinned in BENCH_core.json; exits non-zero if the fold disagrees with an
+// independent sum over the same footers (a perf number from a wrong rollup
+// would be meaningless).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "hw/power_monitor.hpp"
 #include "obs/health/rollup.hpp"
 #include "store/capture_store.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 using namespace blab;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-void emit(std::ostream& os, const char* key, double value, bool last = false) {
-  os << "  \"" << key << "\": " << util::format_double(value, 3)
-     << (last ? "\n" : ",\n");
-}
-
-unsigned long flag_value(std::string_view arg, std::string_view name) {
-  return std::strtoul(arg.substr(name.size()).data(), nullptr, 10);
-}
 
 hw::Capture make_capture(std::uint64_t seed, std::size_t n) {
   util::Rng rng{seed};
@@ -73,19 +54,16 @@ int main(int argc, char** argv) {
   std::size_t n_samples = 6000;
   int rounds = 5;
   int iters = 20;
-  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--captures=", 0) == 0) {
-      n_captures = flag_value(arg, "--captures=");
+      n_captures = bench::flag_value(arg, "--captures=");
     } else if (arg.rfind("--samples=", 0) == 0) {
-      n_samples = flag_value(arg, "--samples=");
+      n_samples = bench::flag_value(arg, "--samples=");
     } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = static_cast<int>(flag_value(arg, "--rounds="));
+      rounds = static_cast<int>(bench::flag_value(arg, "--rounds="));
     } else if (arg.rfind("--iters=", 0) == 0) {
-      iters = static_cast<int>(flag_value(arg, "--iters="));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+      iters = static_cast<int>(bench::flag_value(arg, "--iters="));
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;
@@ -152,34 +130,24 @@ int main(int argc, char** argv) {
       }
       groups = group_count;
     }
-    const double wall = seconds_since(t0);
+    const double wall = bench::seconds_since(t0);
     if (wall < best_s) best_s = wall;
   }
 
   // Three scopes scan the full catalog once each per iteration.
   const double scanned = 3.0 * static_cast<double>(n_captures) *
                          static_cast<double>(iters);
-  std::ostringstream doc;
-  doc << "{\n";
-  emit(doc, "captures", static_cast<double>(n_captures));
-  emit(doc, "samples_per_capture", static_cast<double>(n_samples));
-  emit(doc, "workspaces", static_cast<double>(kWorkspaces));
-  emit(doc, "vantages", static_cast<double>(kVantages));
-  emit(doc, "groups", static_cast<double>(groups));
-  emit(doc, "iters", static_cast<double>(iters));
-  emit(doc, "rounds", static_cast<double>(rounds));
-  emit(doc, "best_wall_s", best_s);
-  emit(doc, "rollup_computes_per_s", 3.0 * iters / best_s);
-  emit(doc, "rollup_captures_per_s", scanned / best_s, /*last=*/true);
-  doc << "}\n";
-  std::cout << doc.str();
-  if (!out_path.empty()) {
-    std::ofstream out{out_path};
-    if (!out) {
-      std::cerr << "cannot write artifact: " << out_path << "\n";
-      return 2;
-    }
-    out << doc.str();
-  }
+  bench::print_result(
+      std::cout,
+      {{"captures", static_cast<double>(n_captures)},
+       {"samples_per_capture", static_cast<double>(n_samples)},
+       {"workspaces", static_cast<double>(kWorkspaces)},
+       {"vantages", static_cast<double>(kVantages)},
+       {"groups", static_cast<double>(groups)},
+       {"iters", static_cast<double>(iters)},
+       {"rounds", static_cast<double>(rounds)},
+       {"best_wall_s", best_s},
+       {"rollup_computes_per_s", 3.0 * iters / best_s},
+       {"rollup_captures_per_s", scanned / best_s}});
   return sink == 0 ? 1 : 0;
 }

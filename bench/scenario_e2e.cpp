@@ -17,43 +17,25 @@
 //   --trace-out=P    write the corpus-merged span set as Chrome trace-event
 //                    JSON (one Perfetto process per seed) to P
 //
-// Emits one JSON object on stdout so ci_bench.sh can fold the numbers into
+// Prints one flat JSON result (bench/report.hpp) whose
+// scenario_e2e_scenarios_per_s and scenario_e2e_events_per_s are pinned in
 // BENCH_core.json; exits non-zero if any scenario trips an oracle or runs
 // zero events (a perf number from a broken run would be meaningless).
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "obs/export.hpp"
 #include "testing/harness.hpp"
 #include "testing/scenario.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 using namespace blab;
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-void emit(std::ostream& os, const char* key, double value, bool last = false) {
-  os << "  \"" << key << "\": " << util::format_double(value, 3)
-     << (last ? "\n" : ",\n");
-}
-
-unsigned long flag_value(std::string_view arg, std::string_view name) {
-  return std::strtoul(arg.substr(name.size()).data(), nullptr, 10);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   unsigned jobs = 1;
@@ -64,11 +46,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(flag_value(arg, "--jobs="));
+      jobs = static_cast<unsigned>(bench::flag_value(arg, "--jobs="));
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      n_seeds = flag_value(arg, "--seeds=");
+      n_seeds = bench::flag_value(arg, "--seeds=");
     } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = static_cast<int>(flag_value(arg, "--rounds="));
+      rounds = static_cast<int>(bench::flag_value(arg, "--rounds="));
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(sizeof("--metrics-out=") - 1);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -90,7 +72,7 @@ int main(int argc, char** argv) {
   for (int r = 0; r < rounds; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto results = testing::run_corpus(seeds, jobs);
-    const double wall = seconds_since(t0);
+    const double wall = bench::seconds_since(t0);
     events = 0;
     captures = 0;
     violations = 0;
@@ -134,19 +116,18 @@ int main(int argc, char** argv) {
     out << merged_trace;
   }
 
-  std::cout << "{\n";
-  emit(std::cout, "scenarios", static_cast<double>(seeds.size()));
-  emit(std::cout, "jobs", static_cast<double>(jobs));
-  emit(std::cout, "rounds", static_cast<double>(rounds));
-  emit(std::cout, "best_wall_s", best_s);
-  emit(std::cout, "scenarios_per_s",
-       static_cast<double>(seeds.size()) / best_s);
-  emit(std::cout, "events_executed", static_cast<double>(events));
-  emit(std::cout, "events_per_s", static_cast<double>(events) / best_s);
-  emit(std::cout, "captures", static_cast<double>(captures));
-  emit(std::cout, "oracle_violations", static_cast<double>(violations),
-       /*last=*/true);
-  std::cout << "}\n";
+  bench::print_result(
+      std::cout,
+      {{"scenarios", static_cast<double>(seeds.size())},
+       {"jobs", static_cast<double>(jobs)},
+       {"rounds", static_cast<double>(rounds)},
+       {"best_wall_s", best_s},
+       {"scenario_e2e_scenarios_per_s",
+        static_cast<double>(seeds.size()) / best_s},
+       {"events_executed", static_cast<double>(events)},
+       {"scenario_e2e_events_per_s", static_cast<double>(events) / best_s},
+       {"captures", static_cast<double>(captures)},
+       {"oracle_violations", static_cast<double>(violations)}});
 
   if (violations != 0) {
     std::cerr << "FAIL: " << violations << " oracle violation(s) during the "

@@ -2,7 +2,9 @@
 // throughput after a restart, crash-recovery speed (open() over a
 // populated directory), and one retention pass that erases and demotes.
 //
-// Emits one JSON object on stdout so CI can diff the numbers; exits
+// Prints one flat JSON result (bench/report.hpp) whose
+// persist_append_samples_per_s, persist_recovery_records_per_s and
+// persist_cold_query_samples_per_s are pinned in BENCH_core.json; exits
 // non-zero if correctness floors are missed (recovery must index every
 // record, cold queries must be lossless).
 #include <algorithm>
@@ -16,11 +18,11 @@
 
 #include <unistd.h>
 
+#include "bench/report.hpp"
 #include "hw/power_monitor.hpp"
 #include "store/capture_store.hpp"
 #include "store/persist/engine.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 using namespace blab;
 
@@ -41,16 +43,6 @@ hw::Capture synth_capture(std::uint64_t seed) {
   }
   return hw::Capture{util::TimePoint::epoch(), 5000.0, 3.85,
                      std::move(samples)};
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-void emit(std::ostream& os, const char* key, double value, bool last = false) {
-  os << "  \"" << key << "\": " << util::format_double(value, 3)
-     << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -87,7 +79,7 @@ int main() {
                 util::TimePoint::epoch() + util::Duration::seconds(
                                                static_cast<std::int64_t>(i)));
     }
-    append_s = std::min(append_s, seconds_since(t0));
+    append_s = std::min(append_s, bench::seconds_since(t0));
     if (r == 0) {
       // A second batch, so the directory recovery opens holds twice the
       // records.
@@ -113,7 +105,7 @@ int main() {
     if (auto st = engine.open(); !st.ok()) {
       throw std::runtime_error{"recovery open failed: " + st.str()};
     }
-    recovery_s = std::min(recovery_s, seconds_since(t0));
+    recovery_s = std::min(recovery_s, bench::seconds_since(t0));
     recovered = engine.stats().recovered_records;
   }
   if (recovered != 2 * kCaptures) {
@@ -147,7 +139,7 @@ int main() {
         cold_samples += slice.value().sample_count();
       }
     }
-    cold_s = std::min(cold_s, seconds_since(t0));
+    cold_s = std::min(cold_s, bench::seconds_since(t0));
   }
   if (cold_samples != 2 * kSamples * kCaptures) {
     std::cerr << "FAIL: cold queries returned " << cold_samples << " of "
@@ -187,7 +179,7 @@ int main() {
     retention0 = engine.stats();
     const auto t0 = std::chrono::steady_clock::now();
     retention_records = st.run_retention(retention_at);
-    retention_s = std::min(retention_s, seconds_since(t0));
+    retention_s = std::min(retention_s, bench::seconds_since(t0));
     retention1 = engine.stats();
     std::filesystem::remove_all(retention_dir);
   }
@@ -199,31 +191,30 @@ int main() {
     return 1;
   }
 
-  std::cout << "{\n";
-  emit(std::cout, "samples_per_capture", static_cast<double>(kSamples));
-  emit(std::cout, "captures", static_cast<double>(kCaptures));
-  emit(std::cout, "persist_append_samples_per_s", total_samples / append_s);
-  emit(std::cout, "persist_recovery_records_per_s",
-       static_cast<double>(recovered) / recovery_s);
-  emit(std::cout, "persist_cold_query_samples_per_s",
-       static_cast<double>(cold_samples) / cold_s);
-  emit(std::cout, "recovered_records", static_cast<double>(recovered));
-  emit(std::cout, "disk_bytes", static_cast<double>(disk_bytes));
-  emit(std::cout, "disk_bytes_per_sample",
-       static_cast<double>(disk_bytes) / (2.0 * total_samples));
-  emit(std::cout, "persist_retention_records_per_s",
-       static_cast<double>(retention_records) / retention_s);
-  emit(std::cout, "retention_segments_written",
-       static_cast<double>(retention1.segment_flushes -
-                           retention0.segment_flushes));
-  emit(std::cout, "retention_segments_deleted",
-       static_cast<double>(retention1.segments_deleted -
-                           retention0.segments_deleted));
-  emit(std::cout, "retention_manifest_installs",
-       static_cast<double>(retention1.manifest_installs -
-                           retention0.manifest_installs),
-       /*last=*/true);
-  std::cout << "}\n";
+  bench::print_result(
+      std::cout,
+      {{"samples_per_capture", static_cast<double>(kSamples)},
+       {"captures", static_cast<double>(kCaptures)},
+       {"persist_append_samples_per_s", total_samples / append_s},
+       {"persist_recovery_records_per_s",
+        static_cast<double>(recovered) / recovery_s},
+       {"persist_cold_query_samples_per_s",
+        static_cast<double>(cold_samples) / cold_s},
+       {"recovered_records", static_cast<double>(recovered)},
+       {"disk_bytes", static_cast<double>(disk_bytes)},
+       {"disk_bytes_per_sample",
+        static_cast<double>(disk_bytes) / (2.0 * total_samples)},
+       {"persist_retention_records_per_s",
+        static_cast<double>(retention_records) / retention_s},
+       {"retention_segments_written",
+        static_cast<double>(retention1.segment_flushes -
+                            retention0.segment_flushes)},
+       {"retention_segments_deleted",
+        static_cast<double>(retention1.segments_deleted -
+                            retention0.segments_deleted)},
+       {"retention_manifest_installs",
+        static_cast<double>(retention1.manifest_installs -
+                            retention0.manifest_installs)}});
 
   std::filesystem::remove_all(dir);
   return 0;

@@ -2,8 +2,10 @@
 // against the CSV exporter, and proof that summary queries are served from
 // chunk footers and tiers without touching raw payloads.
 //
-// Emits one JSON object on stdout so CI can diff the numbers; exits non-zero
-// if the acceptance floors (>= 4x compression, zero raw decodes for summary
+// Prints one flat JSON result (bench/report.hpp) whose
+// store_encode_samples_per_s, store_sim_events_per_s and
+// store_synth_samples_per_s are pinned in BENCH_core.json; exits non-zero if
+// the acceptance floors (>= 4x compression, zero raw decodes for summary
 // queries) are missed.
 #include <algorithm>
 #include <chrono>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "analysis/trace_io.hpp"
+#include "bench/report.hpp"
 #include "hw/load.hpp"
 #include "hw/power_monitor.hpp"
 #include "sim/simulator.hpp"
@@ -41,16 +44,6 @@ hw::Capture synth_capture() {
                      std::move(samples)};
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-void emit(std::ostream& os, const char* key, double value, bool last = false) {
-  os << "  \"" << key << "\": " << util::format_double(value, 3)
-     << (last ? "\n" : ",\n");
-}
-
 /// Kernel dispatch rate: schedule-and-drain kSamples empty events, best of
 /// kRounds. The store ingests captures produced by simulator-driven
 /// measurements, so event throughput bounds end-to-end ingest.
@@ -64,7 +57,7 @@ double sim_events_per_s() {
                          [] {});
     }
     if (sim.run_all() != kSamples) throw std::runtime_error{"events lost"};
-    best_s = std::min(best_s, seconds_since(t0));
+    best_s = std::min(best_s, bench::seconds_since(t0));
   }
   return static_cast<double>(kSamples) / best_s;
 }
@@ -91,7 +84,7 @@ double synth_samples_per_s() {
     sim.run_for(util::Duration::seconds(60));
     const auto t0 = std::chrono::steady_clock::now();
     auto capture = monitor.stop_capture();
-    best_s = std::min(best_s, seconds_since(t0));
+    best_s = std::min(best_s, bench::seconds_since(t0));
     if (!capture.ok() || capture.value().sample_count() != kSamples) {
       throw std::runtime_error{"synthesis produced the wrong sample count"};
     }
@@ -111,10 +104,10 @@ int main() {
   for (int r = 0; r < kRounds; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     cc = store::ChunkedCapture::encode(capture);
-    encode_s = std::min(encode_s, seconds_since(t0));
+    encode_s = std::min(encode_s, bench::seconds_since(t0));
     t0 = std::chrono::steady_clock::now();
     auto decoded = cc.decode();
-    decode_s = std::min(decode_s, seconds_since(t0));
+    decode_s = std::min(decode_s, bench::seconds_since(t0));
     if (!decoded.ok() ||
         decoded.value().samples_ma() != capture.samples_ma()) {
       throw std::runtime_error{"round-trip is not lossless"};
@@ -144,7 +137,7 @@ int main() {
     cdf_points = st.percentiles(id).value().count();
     agg_buckets = st.aggregate(id, util::Duration::seconds(1)).value().size();
   }
-  const double summary_s = seconds_since(t0) / kRounds;
+  const double summary_s = bench::seconds_since(t0) / kRounds;
   const auto summary_decodes = st.stats().raw_chunk_decodes;
 
   t0 = std::chrono::steady_clock::now();
@@ -155,28 +148,26 @@ int main() {
                               util::Duration::seconds(60));
     range_samples = slice.value().sample_count();
   }
-  const double range_s = seconds_since(t0) / kRounds;
+  const double range_s = bench::seconds_since(t0) / kRounds;
 
-  std::cout << "{\n";
-  emit(std::cout, "samples", static_cast<double>(kSamples));
-  emit(std::cout, "encode_msamples_per_s", kSamples / encode_s / 1e6);
-  emit(std::cout, "decode_msamples_per_s", kSamples / decode_s / 1e6);
-  emit(std::cout, "chunked_bytes", chunked_bytes);
-  emit(std::cout, "csv_bytes", csv_bytes);
-  emit(std::cout, "compression_ratio_vs_csv", ratio);
-  emit(std::cout, "bytes_per_sample", chunked_bytes / kSamples);
-  emit(std::cout, "summary_query_us", summary_s * 1e6);
-  emit(std::cout, "summary_raw_chunk_decodes",
-       static_cast<double>(summary_decodes));
-  emit(std::cout, "range_query_msamples_per_s", range_samples / range_s / 1e6);
-  emit(std::cout, "cdf_points", static_cast<double>(cdf_points));
-  emit(std::cout, "aggregate_buckets_1s", static_cast<double>(agg_buckets));
-  emit(std::cout, "energy_mwh", energy);
-  emit(std::cout, "mean_ma", mean);
-  emit(std::cout, "sim_events_per_s", sim_events_per_s());
-  emit(std::cout, "synth_samples_per_s", synth_samples_per_s(),
-       /*last=*/true);
-  std::cout << "}\n";
+  bench::print_result(
+      std::cout,
+      {{"samples", static_cast<double>(kSamples)},
+       {"store_encode_samples_per_s", kSamples / encode_s},
+       {"decode_msamples_per_s", kSamples / decode_s / 1e6},
+       {"chunked_bytes", chunked_bytes},
+       {"csv_bytes", csv_bytes},
+       {"compression_ratio_vs_csv", ratio},
+       {"bytes_per_sample", chunked_bytes / kSamples},
+       {"summary_query_us", summary_s * 1e6},
+       {"summary_raw_chunk_decodes", static_cast<double>(summary_decodes)},
+       {"range_query_msamples_per_s", range_samples / range_s / 1e6},
+       {"cdf_points", static_cast<double>(cdf_points)},
+       {"aggregate_buckets_1s", static_cast<double>(agg_buckets)},
+       {"energy_mwh", energy},
+       {"mean_ma", mean},
+       {"store_sim_events_per_s", sim_events_per_s()},
+       {"store_synth_samples_per_s", synth_samples_per_s()}});
 
   if (ratio < 4.0) {
     std::cerr << "FAIL: compression ratio " << util::format_double(ratio, 2)

@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the core hot-path benchmarks.
 
-Reads the pinned baseline (BENCH_core.json at the repo root), the fresh
-measurement JSONs produced by scripts/ci_bench.sh (google-benchmark output
-from micro_core, plus the scenario_e2e, store_throughput, store_persist and
-flame_aggregate emitters), writes
-a merged BENCH_core.json artifact with the current rates next to the pinned
-ones, and exits non-zero if any gated throughput falls below
+Reads the pinned baseline (BENCH_core.json at the repo root) and the bench
+result files produced by scripts/ci_bench.sh, writes a merged
+BENCH_core.json artifact with the current rates next to the pinned ones,
+and exits non-zero if any gated throughput falls below
 floor_fraction * baseline (default 0.7, i.e. a >30% regression).
+
+A result file with a "benchmarks" array is google-benchmark output
+(micro_core): it contributes "<run_name>_items_per_s", the median over
+repetitions. Any other result file is one flat JSON object printed through
+bench/report.hpp, whose pinned values carry their BENCH_core.json names.
+Each pinned name must be found in exactly one result file; a name found in
+none or in two fails the gate. Names no pin mentions are ignored.
 
 Rates are throughputs (items/s, events/s, samples/s): bigger is better, so
 the gate is one-sided — a faster run never fails, it just shows up in the
 artifact as an improvement to consider re-pinning.
 
 Usage:
-  bench_gate.py --baseline BENCH_core.json --micro micro.json \
-      --e2e e2e.json --store store.json --persist persist.json \
-      --flame flame.json --out artifact.json
+  bench_gate.py --baseline BENCH_core.json --out artifact.json RESULT...
 
 Re-pin mode (deliberate baseline updates only):
   bench_gate.py ... --repin --repin-out BENCH_core.json \
@@ -37,10 +40,12 @@ import json
 import sys
 
 
-def median_items_per_second(micro):
-    """google-benchmark JSON -> {bench name: median items_per_second}."""
+def result_values(result):
+    """One result file's JSON -> {name: value}, by the rule above."""
+    if not isinstance(result.get("benchmarks"), list):
+        return result
     out = {}
-    for entry in micro.get("benchmarks", []):
+    for entry in result["benchmarks"]:
         # Benches that never call SetItemsProcessed carry no items_per_second
         # and are not part of the gate.
         if "items_per_second" not in entry:
@@ -48,38 +53,38 @@ def median_items_per_second(micro):
         # With --benchmark_report_aggregates_only the run_name field holds
         # the plain bench name and aggregate_name tags mean/median/stddev.
         if entry.get("aggregate_name") == "median":
-            out[entry["run_name"]] = entry["items_per_second"]
+            out[f"{entry['run_name']}_items_per_s"] = entry["items_per_second"]
         elif "aggregate_name" not in entry:
             # Repetition-less runs: single entry per bench, no aggregates.
-            out[entry["name"]] = entry["items_per_second"]
+            out[f"{entry['name']}_items_per_s"] = entry["items_per_second"]
     return out
 
 
-def collect_current(micro, e2e, store, persist, flame, health):
-    rates = {}
-    for name, value in median_items_per_second(micro).items():
-        rates[f"{name}_items_per_s"] = value
-    rates["scenario_e2e_events_per_s"] = e2e["events_per_s"]
-    rates["scenario_e2e_scenarios_per_s"] = e2e["scenarios_per_s"]
-    rates["store_sim_events_per_s"] = store["sim_events_per_s"]
-    rates["store_synth_samples_per_s"] = store["synth_samples_per_s"]
-    rates["store_encode_samples_per_s"] = (
-        store["encode_msamples_per_s"] * 1e6
-    )
-    rates["persist_append_samples_per_s"] = persist[
-        "persist_append_samples_per_s"
-    ]
-    rates["persist_cold_query_samples_per_s"] = persist[
-        "persist_cold_query_samples_per_s"
-    ]
-    rates["persist_recovery_records_per_s"] = persist[
-        "persist_recovery_records_per_s"
-    ]
-    if flame is not None:
-        rates["flame_spans_per_s"] = flame["flame_spans_per_s"]
-    if health is not None:
-        rates["rollup_captures_per_s"] = health["rollup_captures_per_s"]
-    return rates
+def collect_current(names, paths):
+    """Finds each of `names` in exactly one result file.
+
+    Returns ({name: value}, failures): a name found in no file or in more
+    than one is a failure, by name.
+    """
+    found = {name: [] for name in names}
+    for path in paths:
+        with open(path) as f:
+            values = result_values(json.load(f))
+        for name, hits in found.items():
+            if name in values:
+                hits.append((path, values[name]))
+    current = {}
+    failures = []
+    for name, hits in sorted(found.items()):
+        if len(hits) == 1:
+            current[name] = hits[0][1]
+        elif not hits:
+            failures.append(f"{name}: no measurement produced")
+        else:
+            paths_found = ", ".join(path for path, _ in hits)
+            failures.append(f"{name}: found in {len(hits)} result files "
+                            f"({paths_found})")
+    return current, failures
 
 
 def parse_requirement(spec):
@@ -144,21 +149,13 @@ def repin_baseline(baseline, current, requirements, note):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True)
-    parser.add_argument("--micro", required=True)
-    parser.add_argument("--e2e", required=True)
-    parser.add_argument("--store", required=True)
-    parser.add_argument("--persist", required=True)
-    parser.add_argument(
-        "--flame",
-        help="flame_aggregate emitter JSON (optional until the analytics "
-        "bench exists in the build being gated)",
-    )
-    parser.add_argument(
-        "--health",
-        help="health_rollup emitter JSON (optional until the fleet-health "
-        "bench exists in the build being gated)",
-    )
     parser.add_argument("--out", required=True)
+    parser.add_argument(
+        "results",
+        nargs="+",
+        metavar="RESULT",
+        help="bench result file: google-benchmark JSON or one flat object",
+    )
     parser.add_argument(
         "--repin",
         action="store_true",
@@ -189,33 +186,15 @@ def main():
 
     with open(args.baseline) as f:
         baseline = json.load(f)
-    with open(args.micro) as f:
-        micro = json.load(f)
-    with open(args.e2e) as f:
-        e2e = json.load(f)
-    with open(args.store) as f:
-        store = json.load(f)
-    with open(args.persist) as f:
-        persist = json.load(f)
-    flame = None
-    if args.flame:
-        with open(args.flame) as f:
-            flame = json.load(f)
-    health = None
-    if args.health:
-        with open(args.health) as f:
-            health = json.load(f)
 
     floor = baseline.get("floor_fraction", 0.7)
-    current = collect_current(micro, e2e, store, persist, flame, health)
+    current, failures = collect_current(baseline["metrics"], args.results)
 
-    failures = []
     report = []
     for name, pinned in sorted(baseline["metrics"].items()):
         pinned_rate = pinned["baseline"]
         got = current.get(name)
         if got is None:
-            failures.append(f"{name}: no measurement produced")
             continue
         ratio = got / pinned_rate
         status = "ok" if ratio >= floor else "REGRESSION"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Bench-smoke lane: Release build of the core hot-path benches, JSON output,
-# and the perf-regression gate against the pinned BENCH_core.json baseline.
-# The merged artifact (pinned + current rates) lands in
-# $BUILD_DIR/BENCH_core.json for CI to upload.
+# Bench-smoke lane: Release build of the core hot-path benches, one JSON
+# result file per program in $BUILD_DIR/bench-results/, and the
+# perf-regression gate against the pinned BENCH_core.json baseline. The
+# merged artifact (pinned + current rates) lands in
+# $BUILD_DIR/BENCH_core.json; CI uploads it and the results directory.
 #
 # Absolute rates vary across CI machines, so the gate floor is deliberately
 # loose (>30% regression fails); the pinned baseline documents the reference
@@ -17,64 +18,45 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target micro_core scenario_e2e store_throughput store_persist \
            flame_aggregate health_rollup
 
+# Every result lands in $RESULTS, one JSON file per program; the gate reads
+# the top level and CI uploads the whole directory.
+RESULTS="$BUILD_DIR/bench-results"
+rm -rf "$RESULTS"
+mkdir -p "$RESULTS/sweep"
+
 "$BUILD_DIR"/bench/micro_core \
   --benchmark_format=json \
   --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true \
-  > "$BUILD_DIR/bench_micro.json"
+  > "$RESULTS/micro_core.json"
 "$BUILD_DIR"/bench/scenario_e2e --jobs=1 --seeds=24 --rounds=5 \
   --metrics-out="$BUILD_DIR/BENCH_metrics.prom" \
   --trace-out="$BUILD_DIR/BENCH_trace.json" \
-  > "$BUILD_DIR/bench_e2e.json"
-"$BUILD_DIR"/bench/store_throughput > "$BUILD_DIR/bench_store.json"
-"$BUILD_DIR"/bench/store_persist > "$BUILD_DIR/bench_persist.json"
-# Trace-analytics fold throughput; --out archives the BENCH_flame.json
-# artifact next to BENCH_core.json for CI to upload.
-"$BUILD_DIR"/bench/flame_aggregate \
-  --out="$BUILD_DIR/BENCH_flame.json" > "$BUILD_DIR/bench_flame.json"
-# Fleet-health rollup throughput (the GET /rollup read path); --out archives
-# the BENCH_health.json artifact next to BENCH_core.json for CI to upload.
-"$BUILD_DIR"/bench/health_rollup \
-  --out="$BUILD_DIR/BENCH_health.json" > "$BUILD_DIR/bench_health.json"
+  > "$RESULTS/scenario_e2e.json"
+"$BUILD_DIR"/bench/store_throughput > "$RESULTS/store_throughput.json"
+"$BUILD_DIR"/bench/store_persist > "$RESULTS/store_persist.json"
+"$BUILD_DIR"/bench/flame_aggregate > "$RESULTS/flame_aggregate.json"
+"$BUILD_DIR"/bench/health_rollup > "$RESULTS/health_rollup.json"
 
 # Determinism-window kernel sweep: the same scenario corpus at three sizes,
 # serial and 4-way parallel. Parallel speedup here is only trustworthy
 # because the DST oracle pins serial == --jobs=4 digests — the sweep is the
-# perf face of that correctness invariant, archived as BENCH_sweep.json so a
-# scaling regression (e.g. contention that only shows at 160 seeds) is
-# visible in CI history even though it is not gated.
-SWEEP_RUNS=()
+# perf face of that correctness invariant, uploaded with the other results
+# so a scaling regression (e.g. contention that only shows at 160 seeds) is
+# visible in CI history. It is not gated: each point carries the pinned
+# scenario_e2e names, so the points sit in sweep/, which the gate does not
+# read.
 for seeds in 10 40 160; do
   for jobs in 1 4; do
-    out="$BUILD_DIR/bench_sweep_${seeds}x${jobs}.json"
     "$BUILD_DIR"/bench/scenario_e2e --jobs="$jobs" --seeds="$seeds" \
-      --rounds=3 > "$out"
-    SWEEP_RUNS+=("$seeds" "$jobs" "$out")
+      --rounds=3 > "$RESULTS/sweep/scenario_e2e_${seeds}x${jobs}.json"
   done
 done
-python3 - "$BUILD_DIR/BENCH_sweep.json" "${SWEEP_RUNS[@]}" <<'PYEOF'
-import json, sys
-out, rest = sys.argv[1], sys.argv[2:]
-runs = []
-for seeds, jobs, path in zip(rest[0::3], rest[1::3], rest[2::3]):
-    with open(path) as f:
-        result = json.load(f)
-    runs.append({"seeds": int(seeds), "jobs": int(jobs), "result": result})
-with open(out, "w") as f:
-    json.dump({"schema": "blab-bench-sweep-v1", "runs": runs}, f, indent=2)
-    f.write("\n")
-print(f"wrote {out} ({len(runs)} sweep points)")
-PYEOF
 
 python3 scripts/bench_gate.py \
   --baseline BENCH_core.json \
-  --micro "$BUILD_DIR/bench_micro.json" \
-  --e2e "$BUILD_DIR/bench_e2e.json" \
-  --store "$BUILD_DIR/bench_store.json" \
-  --persist "$BUILD_DIR/bench_persist.json" \
-  --flame "$BUILD_DIR/bench_flame.json" \
-  --health "$BUILD_DIR/bench_health.json" \
-  --out "$BUILD_DIR/BENCH_core.json"
+  --out "$BUILD_DIR/BENCH_core.json" \
+  "$RESULTS"/*.json
 
 # Telemetry drift gate: the bench corpus is deterministic, so its merged
 # counter snapshot only moves when the workload itself changes — --strict

@@ -85,7 +85,7 @@ void Histogram::observe(double v, const Exemplar& ex) {
   }
   const bool attach =
       total == 0 || static_cast<double>(below) >=
-                        exemplar_quantile_ * static_cast<double>(total);
+                        kExemplarQuantile * static_cast<double>(total);
   observe(v);
   if (!attach || !ex.valid()) return;
   std::lock_guard<std::mutex> lock{ex_mu_};
@@ -95,10 +95,6 @@ void Histogram::observe(double v, const Exemplar& ex) {
   Exemplar stamped = ex;
   stamped.value = v;
   exemplars_[idx] = stamped;
-}
-
-void Histogram::set_exemplar_quantile(double q) {
-  exemplar_quantile_ = std::clamp(q, 0.0, 1.0);
 }
 
 Exemplar Histogram::exemplar(std::size_t i) const {

@@ -4,18 +4,7 @@
 #include <cstddef>
 #include <utility>
 
-#include "util/strings.hpp"
-
 namespace blab::obs {
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view s) {
-  std::string quoted;
-  util::append_json_string(quoted, s);
-  out << quoted;
-}
-
-}  // namespace
 
 std::string_view SpanRecord::attr_str(std::string_view key) const {
   for (const SpanAttr& a : attrs) {
@@ -334,55 +323,6 @@ void Tracer::clear() {
   next_id_ = 1;
   next_trace_ = 1;
   misuse_once_.reset();
-}
-
-void Tracer::write_jsonl(std::ostream& out) const {
-  for (const SpanRecord& s : finished_) {
-    out << "{\"id\":" << s.id << ",\"parent\":" << s.parent
-        << ",\"trace\":" << s.trace << ",\"depth\":" << s.depth
-        << ",\"component\":";
-    write_json_string(out, s.component);
-    out << ",\"name\":";
-    write_json_string(out, s.name);
-    out << ",\"start_us\":" << s.start_us << ",\"end_us\":" << s.end_us;
-    if (s.weight != 1) out << ",\"weight\":" << s.weight;
-    if (!s.links.empty()) {
-      out << ",\"links\":[";
-      bool first = true;
-      for (const SpanLink& l : s.links) {
-        if (!first) out << ',';
-        first = false;
-        out << "{\"trace\":" << l.trace << ",\"span\":" << l.span
-            << ",\"kind\":";
-        write_json_string(out, l.kind);
-        out << '}';
-      }
-      out << ']';
-    }
-    if (!s.attrs.empty()) {
-      out << ",\"attrs\":{";
-      bool first = true;
-      for (const SpanAttr& a : s.attrs) {
-        if (!first) out << ',';
-        first = false;
-        write_json_string(out, a.key);
-        out << ':';
-        switch (a.kind) {
-          case SpanAttr::Kind::kInt:
-            out << a.i;
-            break;
-          case SpanAttr::Kind::kDouble:
-            out << a.d;
-            break;
-          case SpanAttr::Kind::kString:
-            write_json_string(out, a.s);
-            break;
-        }
-      }
-      out << '}';
-    }
-    out << "}\n";
-  }
 }
 
 }  // namespace blab::obs

@@ -22,15 +22,14 @@
 // while they are in flight.
 //
 // The tracer keeps a bounded in-memory buffer of finished spans (newest
-// dropped past the cap, with a counter), a bounded per-trace index for
-// O(trace) lookup, and can export as JSONL or (via obs/export) Chrome
-// trace-event JSON for Perfetto.
+// dropped past the cap, with a counter) and a bounded per-trace index for
+// O(trace) lookup. obs/export's encode_trace_json renders spans as Chrome
+// trace-event JSON for Perfetto, the one span export format.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -209,10 +208,6 @@ class Tracer {
                                         std::string_view value) const;
 
   void clear();
-
-  /// One JSON object per line: {"id":..,"parent":..,"trace":..,"depth":..,
-  /// "component":"..","name":"..","start_us":..,"end_us":..,"attrs":{..}}
-  void write_jsonl(std::ostream& out) const;
 
  private:
   /// One registered sampling policy. Families are few (hand-registered per

@@ -449,10 +449,13 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
       std::swap(entry->crc, crc);
     }
   };
+  // The read-back check: the capture must still match its entry's CRC. One
+  // that does not, or whose summary cannot be written, stays listed as a
+  // summary over its raw file (a corrupt one keeps failing load()), and the
+  // first such error is returned once the others are committed.
   std::vector<Demotion> demotions;
-  for (auto& [id, entry] : index_) {
-    if (!entry.raw_dropped || !entry.segment.starts_with("seg-r-")) continue;
-    // The read-back check: the capture must still match its entry's CRC.
+  util::Status first_error = util::Status::ok_status();
+  const auto demote = [&](const CaptureId& id, Entry& entry) -> util::Status {
     auto capture = read_capture(id, entry);
     if (!capture.ok()) return capture.error();
     auto image = ChunkedCapture::summary_image(capture.value());
@@ -464,14 +467,25 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
     if (!file.ok()) return file.error();
     demotions.push_back(
         {&entry, std::move(file).take(), image.value().size(), crc});
+    return util::Status::ok_status();
+  };
+  for (auto& [id, entry] : index_) {
+    if (!entry.raw_dropped || !entry.segment.starts_with("seg-r-")) continue;
+    if (auto st = demote(id, entry); !st.ok() && first_error.ok()) {
+      first_error = st;
+    }
   }
-  if (demotions.empty()) return util::Status::ok_status();
+  if (demotions.empty()) return first_error;
 
   // Manifest install is the commit point: everything before it is invisible
-  // to recovery, everything after it is cleanup a crash may skip.
+  // to recovery, everything after it is cleanup a crash may skip. A failed
+  // install removes the summary files written for it.
   for (Demotion& d : demotions) d.swap();
   if (auto st = install_manifest(); !st.ok()) {
-    for (Demotion& d : demotions) d.swap();
+    for (Demotion& d : demotions) {
+      d.swap();
+      remove_segment(d.segment);
+    }
     return st;
   }
   for (const Demotion& d : demotions) {
@@ -484,7 +498,7 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
   ++stats_.checkpoints;
   ++stats_.checkpoints_by_cause[static_cast<std::size_t>(cause)];
   bump(metrics_.checkpoints[static_cast<std::size_t>(cause)]);
-  return util::Status::ok_status();
+  return first_error;
 }
 
 void PersistEngine::scan_catalog(

@@ -108,8 +108,11 @@ class PersistEngine {
 
   /// Demote every capture committed as summary whose file is still a raw
   /// segment: write its summary image into a segment of its own, commit
-  /// them all with one manifest, then delete the raw files. A checkpoint
-  /// with nothing to demote does nothing and is not counted. `cause`
+  /// them all with one manifest, then delete the raw files. A capture whose
+  /// read-back fails its CRC stays summary over its raw file, the others
+  /// still demote, and the first such error is returned. A failed install
+  /// removes the summary files it would have listed. A checkpoint with
+  /// nothing to demote does nothing and is not counted. `cause`
   /// labels the checkpoint counter so operators can tell the maintenance
   /// tier's scheduled cadence from retention passes.
   util::Status checkpoint(CheckpointCause cause = CheckpointCause::kManual);

@@ -7,8 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -213,11 +214,6 @@ TEST(Encoders, EveryJsonEncoderEscapesUserStrings) {
   EXPECT_TRUE(has(flame, "{\"component\":")) << flame;
   EXPECT_TRUE(has(flame, ",\"name\":")) << flame;
   EXPECT_TRUE(has(flame, "\"job\":")) << flame;
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  EXPECT_TRUE(has(jsonl.str(), "\"component\":")) << jsonl.str();
-  EXPECT_TRUE(has(jsonl.str(), "\"name\":")) << jsonl.str();
-  EXPECT_TRUE(has(jsonl.str(), "\"job\":")) << jsonl.str();
 
   obs::MetricsRegistry registry;
   registry.counter("blab_x_total", {{"vp", std::string{kAwkward}}}).inc();
@@ -290,6 +286,22 @@ TEST(Encoders, PerfettoTraceGolden) {
   EXPECT_NE(list.find("\"spans\":2"), std::string::npos);
 }
 
+// JSON has no literal for NaN or infinity, so a non-finite double
+// attribute renders as a string.
+TEST(Encoders, TraceJsonRendersNonFiniteDoublesAsStrings) {
+  std::int64_t now_us = 0;
+  obs::Tracer tracer{[&] { return now_us; }};
+  const std::uint64_t span = tracer.begin_detached("hw", "capture");
+  tracer.set_attr(span, "ratio", std::nan(""));
+  tracer.set_attr(span, "rate", std::numeric_limits<double>::infinity());
+  tracer.set_attr(span, "floor", -std::numeric_limits<double>::infinity());
+  tracer.end(span);
+  const std::string json = obs::encode_trace_json(tracer.spans());
+  EXPECT_NE(json.find(R"("ratio":"NaN")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("rate":"+Inf")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("floor":"-Inf")"), std::string::npos) << json;
+}
+
 TEST(Encoders, CorpusTraceNamesOneProcessPerSeed) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
@@ -325,24 +337,6 @@ TEST(MetricsRegistry, ExemplarAttachesAboveTheQuantile) {
   // A bulk value (nothing below its bucket) does not displace the exemplar.
   h.observe(0.4, obs::Exemplar{3, 30});
   EXPECT_EQ(h.exemplar(0).trace, 1u);
-}
-
-TEST(MetricsRegistry, ExemplarQuantileIsConfigurable) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h = registry.histogram("blab_lat_seconds", {1.0});
-  h.set_exemplar_quantile(0.5);
-  h.observe(0.5);
-  h.observe(0.5);
-  h.observe(2.0, obs::Exemplar{5, 100});  // 2/2 below >= 0.5: attaches
-  EXPECT_EQ(h.exemplar(1).trace, 5u);
-  h.observe(0.3, obs::Exemplar{6, 200});  // 0/3 below < 0.5: rejected
-  EXPECT_FALSE(h.exemplar(0).valid());
-
-  h.set_exemplar_quantile(0.0);  // admit everything; latest wins
-  h.observe(0.3, obs::Exemplar{7, 300});
-  EXPECT_EQ(h.exemplar(0).trace, 7u);
-  h.observe(2.5, obs::Exemplar{8, 400});
-  EXPECT_EQ(h.exemplar(1).trace, 8u);
 }
 
 TEST(Encoders, PrometheusRendersExemplarSuffixes) {
@@ -439,11 +433,9 @@ TEST(Spans, NestAndCloseLifoOnSimClock) {
   EXPECT_EQ(outer.duration_us(), 400);
   EXPECT_EQ(tracer.open_depth(), 0u);
 
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  EXPECT_NE(jsonl.str().find("\"name\":\"run_job\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"component\":\"scheduler\""),
-            std::string::npos);
+  const std::string json = obs::encode_trace_json(tracer.spans());
+  EXPECT_NE(json.find("\"name\":\"run_job\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cat\":\"scheduler\""), std::string::npos) << json;
 }
 
 TEST(Spans, NullTracerIsANoOp) {
@@ -1004,11 +996,6 @@ TEST(Links, PerfettoRendersWeightAndLinkArgs) {
   EXPECT_NE(json.find("\"weight\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"link.retry_of\":\"7:3\""), std::string::npos)
       << json;
-
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  EXPECT_NE(jsonl.str().find("\"weight\":2"), std::string::npos);
-  EXPECT_NE(jsonl.str().find("retry_of"), std::string::npos);
 }
 
 // ----------------------------------------------------------- aggregate ----

@@ -605,11 +605,8 @@ TEST(PersistEngine, FailedInstallLeavesIndexAndCatalogUnchanged) {
   EXPECT_EQ(engine.size(), 3u);
   EXPECT_EQ(engine.stats().manifest_installs, installs);
   EXPECT_EQ(engine.stats().checkpoints, 0u);
-  // The checkpoint's summary segment was written, then left unlisted.
-  auto after = files_with_prefix(dir, "");
-  after.erase(std::remove(after.begin(), after.end(), "seg-s-4.blsg"),
-              after.end());
-  EXPECT_EQ(after, files);
+  // The checkpoint's summary segment was written, then removed.
+  EXPECT_EQ(files_with_prefix(dir, ""), files);
   auto raw = engine.load({"vp-a", 1});
   ASSERT_TRUE(raw.ok());
   EXPECT_TRUE(raw.value().raw_available());
@@ -1024,6 +1021,95 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
     EXPECT_EQ(files_with_prefix(dir, "manifest-"), manifests);
     EXPECT_EQ(files_with_prefix(dir, "seg-"),
               std::vector<std::string>{"seg-r-1.blsg"});
+    engine.reset();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+}
+
+TEST(PersistEngine, CorruptCaptureDoesNotStopTheOtherDemotions) {
+  // Three dropped captures, one of them (first, middle or last) or the first
+  // and last with a byte flipped in the raw segment. The checkpoint demotes
+  // the healthy ones with one manifest and deletes their raw files, then
+  // fails naming the first corrupt one; a corrupt capture stays summary
+  // over its raw file and keeps failing load(). Every segment file left is
+  // listed: a second checkpoint writes nothing, and a restart collects
+  // nothing and sees the same state.
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(36, 400));
+  const std::size_t capture_size = cc.serialize().size();
+  const std::vector<CaptureId> ids = {{"vp-a", 1}, {"vp-a", 2}, {"vp-a", 3}};
+  const auto raw_file = [](const CaptureId& id) {
+    return "seg-r-" + std::to_string(id.seq) + ".blsg";
+  };
+  const std::vector<std::vector<CaptureId>> cases = {
+      {ids[0]}, {ids[1]}, {ids[2]}, {ids[0], ids[2]}};
+  for (const std::vector<CaptureId>& corrupt : cases) {
+    SCOPED_TRACE("first corrupt " + corrupt.front().str() + " of " +
+                 std::to_string(corrupt.size()));
+    const std::string dir = scratch_dir("segcrc3");
+    auto engine = std::make_unique<persist::PersistEngine>(dir);
+    ASSERT_TRUE(engine->open().ok());
+    for (const CaptureId& id : ids) {
+      ASSERT_TRUE(
+          engine->append(id, "DEV", TimePoint::from_micros(id.seq), cc).ok());
+    }
+    std::vector<std::string> segments;
+    for (const CaptureId& id : corrupt) {
+      const auto flip_at = static_cast<std::streamoff>(
+          persist::kSegmentHeaderBytes + capture_size / 2);
+      std::fstream f{fs::path{dir} / raw_file(id),
+                     std::ios::binary | std::ios::in | std::ios::out};
+      f.seekg(flip_at);
+      const int byte = f.get();
+      f.seekp(flip_at);
+      f.put(static_cast<char>(byte ^ 0x40));
+      segments.push_back(raw_file(id));
+    }
+    const std::size_t healthy = ids.size() - corrupt.size();
+    for (std::size_t n = 0; n < healthy; ++n) {
+      segments.push_back("seg-s-" + std::to_string(4 + n) + ".blsg");
+    }
+    ASSERT_TRUE(engine->drop_raw(ids).ok());
+    const auto installs = engine->stats().manifest_installs;
+
+    const auto st = engine->checkpoint();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, blab::util::ErrorCode::kUnavailable);
+    EXPECT_NE(st.error().str().find("reading " + corrupt.front().str() + " "),
+              std::string::npos)
+        << st.error().str();
+    EXPECT_EQ(engine->stats().manifest_installs, installs + 1);
+    EXPECT_EQ(engine->stats().demotions, healthy);
+    EXPECT_EQ(engine->stats().checkpoints, 1u);
+    EXPECT_EQ(files_with_prefix(dir, "seg-"), segments);
+
+    const auto expect_state = [&](persist::PersistEngine& e) {
+      EXPECT_EQ(e.size(), 3u);
+      for (const CaptureId& id : ids) {
+        ASSERT_TRUE(e.info(id).has_value());
+        EXPECT_TRUE(e.info(id)->raw_dropped);
+        const auto loaded = e.load(id);
+        if (std::find(corrupt.begin(), corrupt.end(), id) != corrupt.end()) {
+          ASSERT_FALSE(loaded.ok());
+          EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
+        } else {
+          ASSERT_TRUE(loaded.ok()) << id.str();
+          EXPECT_FALSE(loaded.value().raw_available());
+        }
+      }
+    };
+    expect_state(*engine);
+    EXPECT_FALSE(engine->checkpoint().ok());
+    EXPECT_EQ(engine->stats().manifest_installs, installs + 1);
+    EXPECT_EQ(files_with_prefix(dir, "seg-"), segments);
+
+    engine = std::make_unique<persist::PersistEngine>(dir);
+    ASSERT_TRUE(engine->open().ok());
+    EXPECT_EQ(engine->stats().segments_dropped, 0u);
+    EXPECT_EQ(files_with_prefix(dir, "seg-"), segments);
+    expect_state(*engine);
+    EXPECT_FALSE(engine->checkpoint().ok());
+    EXPECT_EQ(files_with_prefix(dir, "seg-"), segments);
     engine.reset();
     std::error_code ec;
     fs::remove_all(dir, ec);
