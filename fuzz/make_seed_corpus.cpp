@@ -2,17 +2,16 @@
 //
 // Most seeds under tests/fuzz_corpus/ are tiny hand-written byte strings
 // (bad magics, overlong varints, truncated escapes) that never go stale.
-// The exceptions are the seeds that are images of the persist formats
-// (segment, manifest), which a format change rewrites, and the seeds
-// that embed *real* encoded captures — segment images whose payloads are
-// serialized ChunkedCaptures, and codec seeds carrying canonical sample
-// streams. Those samples come from the repo's own noise sampler, so a
-// deliberate sampler change (e.g. the Box-Muller -> ziggurat switch)
-// leaves the checked-in bytes encoding draws the current Rng can no longer
-// produce. The replay lane still passes — the parsers don't care where the
-// floats came from — but the corpus slowly drifts away from the byte
-// patterns the live system actually writes, which is exactly the
-// distribution fuzz coverage should anchor on.
+// The exceptions are the seeds that are images of the manifest format,
+// which a format change rewrites, and the seeds that embed *real* encoded
+// captures — a capture image (what a segment file holds) and codec seeds
+// carrying canonical sample streams. Those samples come from the repo's
+// own noise sampler, so a deliberate sampler change (e.g. the Box-Muller ->
+// ziggurat switch) leaves the checked-in bytes encoding draws the current
+// Rng can no longer produce. The replay lane still passes — the parsers
+// don't care where the floats came from — but the corpus slowly drifts
+// away from the byte patterns the live system actually writes, which is
+// exactly the distribution fuzz coverage should anchor on.
 //
 // This tool rebuilds those seeds from the current sampler and formats,
 // deterministically (fixed Rng seed, fixed timestamps), so regeneration is
@@ -26,9 +25,7 @@
 // Regenerated seeds (everything else is left untouched):
 //   store_codec_fuzz/roundtrip_seed   mode 0: canonical encoded stream
 //   store_codec_fuzz/flip_seed        mode 3: capture + one-byte corruption
-//   persist_fuzz/segment_valid        mode 0: raw-tier segment image
-//   persist_fuzz/segment_summary      mode 0: summary-tier segment image
-//   persist_fuzz/segment_payload_corrupt  mode 0: valid index, bad payload
+//   persist_fuzz/capture_image        mode 0: a raw capture's image
 //   persist_fuzz/manifest_valid       mode 1: canonical manifest image
 #include <algorithm>
 #include <cmath>
@@ -42,6 +39,7 @@
 #include "hw/power_monitor.hpp"
 #include "store/chunked_capture.hpp"
 #include "store/codec.hpp"
+#include "store/persist/crc32c.hpp"
 #include "store/persist/formats.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -129,60 +127,32 @@ int main(int argc, char** argv) {
     ok &= write_file(root + "/store_codec_fuzz/flip_seed", seed);
   }
 
-  // persist_fuzz segment seeds — mode 0 with an odd selector byte routes
-  // the rest through parse_segment_index as an arbitrary image.
-  {
-    std::vector<persist::SegmentRecord> records;
-    persist::SegmentRecord r1;
-    r1.id = {"vp-oslo", 7};
-    r1.name = "SM-G960F";
-    r1.stored_at = TimePoint::from_micros(9000000);
-    r1.capture = make_capture_bytes(rng, 128, 32, false);
-    records.push_back(r1);
-    persist::SegmentRecord r2;
-    r2.id = {"vp-oslo", 9};
-    r2.name = "BacoX";
-    r2.stored_at = TimePoint::from_micros(12500000);
-    r2.capture = make_capture_bytes(rng, 96, 32, false);
-    records.push_back(r2);
-
-    const std::string raw = persist::build_segment(persist::kTierRaw, records);
-    ok &= write_file(root + "/persist_fuzz/segment_valid",
-                     std::string{"\x00\x01", 2} + raw);
-
-    std::vector<persist::SegmentRecord> summaries = records;
-    for (persist::SegmentRecord& r : summaries) {
-      // Summary tier: same captures with the raw chunks purged.
-      auto cc = blab::store::ChunkedCapture::deserialize(r.capture);
-      cc.value().drop_raw();
-      r.capture = cc.value().serialize();
-    }
-    ok &= write_file(
-        root + "/persist_fuzz/segment_summary",
-        std::string{"\x00\x01", 2} +
-            persist::build_segment(persist::kTierSummary, summaries));
-
-    // Valid index over a corrupt payload: the index CRC seals only the
-    // index region, so the flip must be caught by the per-entry CRC.
-    std::string corrupt = raw;
-    const auto parsed = persist::parse_segment_index(corrupt);
-    const std::size_t payload_pos =
-        static_cast<std::size_t>(parsed.value().entries.front().offset) + 9;
-    corrupt[payload_pos] = static_cast<char>(corrupt[payload_pos] ^ 0x40);
-    ok &= write_file(root + "/persist_fuzz/segment_payload_corrupt",
-                     std::string{"\x00\x01", 2} + corrupt);
-  }
+  // persist_fuzz/capture_image — mode 0 (the CRC32C differential) fed the
+  // bytes of a raw segment file: one capture's image.
+  const std::string image = make_capture_bytes(rng, 128, 32, false);
+  ok &= write_file(root + "/persist_fuzz/capture_image",
+                   std::string{"\x00", 1} + image);
 
   // persist_fuzz/manifest_valid — mode 1, odd selector: canonical manifest.
-  // Its first segment is a raw file whose capture is already summary (a
-  // committed drop awaiting demotion).
+  // Its first capture's file is a raw segment whose capture is already
+  // summary (a committed drop awaiting demotion).
   {
+    const std::string summary =
+        blab::store::ChunkedCapture::summary_image(image).value();
+    const std::string other = make_capture_bytes(rng, 96, 32, false);
     persist::Manifest manifest;
     manifest.version = 4;
     manifest.next_seq = 17;
-    manifest.segments.push_back({"seg-r-1.blsg", persist::kTierSummary});
-    manifest.segments.push_back({"seg-s-2.blsg", persist::kTierSummary});
-    manifest.segments.push_back({"seg-r-3.blsg", persist::kTierRaw});
+    manifest.entries = {
+        {{"vp-oslo", 7}, "SM-G960F", TimePoint::from_micros(9000000),
+         "seg-r-1.blsg", persist::kTierSummary, image.size(),
+         persist::crc32c(image)},
+        {{"vp-oslo", 9}, "BacoX", TimePoint::from_micros(12500000),
+         "seg-s-2.blsg", persist::kTierSummary, summary.size(),
+         persist::crc32c(summary)},
+        {{"vp-rio", 3}, "SM-G960F", TimePoint::from_micros(14000000),
+         "seg-r-3.blsg", persist::kTierRaw, other.size(),
+         persist::crc32c(other)}};
     ok &= write_file(root + "/persist_fuzz/manifest_valid",
                      std::string{"\x01\x01"} +
                          persist::encode_manifest(manifest));

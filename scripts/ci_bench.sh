@@ -53,10 +53,13 @@ for seeds in 10 40 160; do
   done
 done
 
+# The telemetry diff below runs whatever the perf gate returns; the lane
+# fails at the end if either check failed.
+gate_status=0
 python3 scripts/bench_gate.py \
   --baseline BENCH_core.json \
   --out "$BUILD_DIR/BENCH_core.json" \
-  "$RESULTS"/*.json
+  "$RESULTS"/*.json || gate_status=$?
 
 # Telemetry drift gate: the bench corpus is deterministic, so its merged
 # counter snapshot only moves when the workload itself changes — --strict
@@ -70,9 +73,15 @@ python3 scripts/bench_gate.py \
 #   blab_sim_lazy_cancel_skips_total — lazy-cancel skip counts depend on
 #     heap interleaving, which is sensitive to event arena sizing tweaks
 #     that do not change the workload itself.
+diff_status=0
 python3 scripts/metrics_diff.py \
   --baseline BENCH_metrics.prom \
   --current "$BUILD_DIR/BENCH_metrics.prom" \
   --threshold 10 \
   --strict \
-  --allow blab_sim_lazy_cancel_skips_total
+  --allow blab_sim_lazy_cancel_skips_total || diff_status=$?
+
+if (( gate_status != 0 || diff_status != 0 )); then
+  echo "ci_bench: perf gate exit $gate_status, metrics diff exit $diff_status" >&2
+  exit 1
+fi

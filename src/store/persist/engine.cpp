@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <set>
 #include <system_error>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "store/persist/crc32c.hpp"
@@ -30,44 +31,32 @@ util::Error checksum_mismatch(const CaptureId& id, const std::string& segment) {
                   segment);
 }
 
-util::Result<std::string> read_file_slice(const std::string& path,
-                                          std::uint64_t offset,
-                                          std::uint64_t length) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return io_error("cannot open " + path);
-  std::string out;
-  out.resize(length);
-  bool bad = std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0;
-  if (!bad && length > 0) {
-    bad = std::fread(out.data(), 1, length, f) != length;
-  }
-  std::fclose(f);
-  if (bad) return io_error("short read at " + path);
-  return out;
-}
-
 /// The whole file, read into a buffer sized once from the file's size.
 util::Result<std::string> read_file(const std::string& path) {
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
   if (ec) return io_error("cannot open " + path);
-  return read_file_slice(path, 0, size);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return io_error("cannot open " + path);
+  std::string out;
+  out.resize(size);
+  const bool bad = size > 0 && std::fread(out.data(), 1, size, f) != size;
+  std::fclose(f);
+  if (bad) return io_error("short read at " + path);
+  return out;
 }
 
 /// Temp-write + rename, so a crash never leaves a half-written file under
-/// the final name (the manifest swap protocol relies on this). The file is
-/// `parts` back to back, each written where it already is. A failed write
-/// removes its temp file; one a crash leaves behind is collected by open().
+/// the final name (the manifest swap protocol relies on this). A failed
+/// write removes its temp file; one a crash leaves behind is collected by
+/// open().
 util::Status write_file_atomic(const std::string& path,
-                               const std::vector<std::string_view>& parts) {
+                               std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return io_error("cannot create " + tmp);
-  bool bad = false;
-  for (const std::string_view part : parts) {
-    bad = bad || (!part.empty() &&
-                  std::fwrite(part.data(), 1, part.size(), f) != part.size());
-  }
+  bool bad = !bytes.empty() &&
+             std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size();
   bad = (std::fflush(f) != 0) || bad;
   bad = (std::fclose(f) != 0) || bad;
   std::error_code ec;
@@ -118,6 +107,41 @@ std::optional<SegmentName> segment_name_of(std::string_view name) {
   return parsed;
 }
 
+/// Why a listed entry cannot be indexed, or empty when it can: its file is
+/// not a segment file name, a summary segment listed raw, already named by
+/// an earlier entry (`listed`), or missing or of another size than listed.
+/// One stat of the file; no segment byte is read.
+std::string unusable(const std::string& dir, const ManifestEntry& entry,
+                     std::set<std::string>& listed) {
+  const auto name = segment_name_of(entry.file);
+  if (!name.has_value()) return "not a segment file name";
+  if (name->tier == kTierSummary && entry.tier == kTierRaw) {
+    return "summary segment listed raw";
+  }
+  if (!listed.insert(entry.file).second) return "named by an earlier entry";
+  std::error_code ec;
+  const auto size = fs::file_size(dir + "/" + entry.file, ec);
+  if (ec) return "missing";
+  if (size != entry.length) {
+    return "holds " + std::to_string(size) + " bytes, listed " +
+           std::to_string(entry.length);
+  }
+  return {};
+}
+
+/// The first entry whose id is not below `id`.
+template <typename Entries>
+auto lower_bound_id(Entries& entries, const CaptureId& id) {
+  return std::ranges::lower_bound(entries, id, {}, &ManifestEntry::id);
+}
+
+/// The entry of `id`, or null.
+template <typename Entries>
+auto* find_entry(Entries& entries, const CaptureId& id) {
+  const auto it = lower_bound_id(entries, id);
+  return it != entries.end() && it->id == id ? &*it : nullptr;
+}
+
 }  // namespace
 
 void PersistEngine::bump(obs::Counter* c, std::uint64_t n) {
@@ -126,7 +150,7 @@ void PersistEngine::bump(obs::Counter* c, std::uint64_t n) {
 
 void PersistEngine::sync_gauges() {
   if (metrics_.disk_entries != nullptr) {
-    metrics_.disk_entries->set(static_cast<double>(index_.size()));
+    metrics_.disk_entries->set(static_cast<double>(catalog_.entries.size()));
   }
   if (metrics_.recovery_ms != nullptr) {
     metrics_.recovery_ms->set(stats_.recovery_ms);
@@ -153,6 +177,7 @@ void PersistEngine::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_.demotions = &m.counter("blab_persist_demotions_total");
   metrics_.demotion_bytes = &m.counter("blab_persist_demotion_bytes_total");
   metrics_.recovered = &m.counter("blab_persist_recovered_records_total");
+  metrics_.dropped = &m.counter("blab_persist_segments_dropped_total");
   metrics_.disk_loads = &m.counter("blab_persist_disk_loads_total");
   metrics_.reclaimed = &m.counter("blab_store_retention_bytes_reclaimed_total");
   metrics_.recovery_ms = &m.gauge("blab_persist_recovery_ms");
@@ -167,6 +192,7 @@ void PersistEngine::attach_metrics(obs::MetricsRegistry* registry) {
   bump(metrics_.demotions, stats_.demotions);
   bump(metrics_.demotion_bytes, stats_.demotion_bytes);
   bump(metrics_.recovered, stats_.recovered_records);
+  bump(metrics_.dropped, stats_.segments_dropped);
   bump(metrics_.disk_loads, stats_.disk_loads);
   bump(metrics_.reclaimed, stats_.retention_bytes_reclaimed);
   sync_gauges();
@@ -181,8 +207,10 @@ util::Status PersistEngine::open() {
     return io_error("cannot create store directory " + dir_);
   }
 
-  // Highest version that parses wins: a torn write of manifest-<N+1> simply
-  // falls back to manifest-<N>. None at all is a fresh store.
+  // Every manifest is read: one of another format version refuses the
+  // store before any file is touched. Of the rest, the highest version
+  // that parses wins: a torn write of manifest-<N+1> simply falls back to
+  // manifest-<N>. None at all is a fresh store.
   std::vector<std::pair<std::uint64_t, std::string>> candidates;
   for (const auto& file : fs::directory_iterator(dir_, ec)) {
     const std::string name = file.path().filename().string();
@@ -191,129 +219,98 @@ util::Status PersistEngine::open() {
     }
   }
   std::sort(candidates.rbegin(), candidates.rend());
+  std::optional<Manifest> chosen;
   for (const auto& [version, path] : candidates) {
     auto bytes = read_file(path);
     auto parsed = bytes.ok() ? parse_manifest(bytes.value())
                              : util::Result<Manifest>{bytes.error()};
-    if (!parsed.ok()) {
-      BLAB_WARN("persist", path << " unreadable (" << parsed.error().str()
-                                << "); trying predecessor");
+    if (parsed.ok()) {
+      if (!chosen.has_value()) {
+        chosen = std::move(parsed).take();
+        chosen->version = version;
+      }
       continue;
     }
-    manifest_version_ = version;
-    next_seq_ = std::max<std::uint64_t>(1, parsed.value().next_seq);
-    for (const ManifestSegment& listed : parsed.value().segments) {
-      recover_segment(listed);
+    if (parsed.error().code == util::ErrorCode::kFailedPrecondition) {
+      return util::make_error(util::ErrorCode::kFailedPrecondition,
+                              "refusing store " + dir_ + ": " + path +
+                                  " is " + parsed.error().message);
     }
-    break;
+    BLAB_WARN("persist", path << " unreadable (" << parsed.error().str()
+                              << "); trying predecessor");
+  }
+  if (chosen.has_value()) {
+    catalog_.version = chosen->version;
+    catalog_.next_seq = std::max<std::uint64_t>(1, chosen->next_seq);
+    // An entry whose file breaks the one-image rule is dropped: its capture
+    // is cleanly lost, and its file is collected unless another entry
+    // holds it.
+    std::set<std::string> listed;
+    for (ManifestEntry& entry : chosen->entries) {
+      if (const auto name = segment_name_of(entry.file); name.has_value()) {
+        next_segment_ = std::max(next_segment_, name->number + 1);
+      }
+      if (const std::string why = unusable(dir_, entry, listed); !why.empty()) {
+        BLAB_WARN("persist", "dropping " << entry.id.str() << " in "
+                                         << entry.file << ": " << why);
+        ++stats_.segments_dropped;
+        continue;
+      }
+      catalog_.next_seq = std::max(catalog_.next_seq, entry.id.seq + 1);
+      catalog_.entries.push_back(std::move(entry));
+    }
   }
 
   // Garbage-collect: temp files of interrupted writes, segment files no
   // entry holds (an append or demotion that never installed its manifest,
-  // an erase or demotion that crashed before deleting, a dropped segment),
-  // and manifests other than the chosen one and its predecessor.
+  // an erase or demotion that crashed before deleting, a dropped entry's
+  // file), and manifests other than the chosen one and its predecessor.
   std::set<std::string_view> live;
-  for (const auto& [id, entry] : index_) live.insert(entry.segment);
+  for (const ManifestEntry& entry : catalog_.entries) live.insert(entry.file);
   for (const auto& file : fs::directory_iterator(dir_, ec)) {
     const std::string name = file.path().filename().string();
     const auto version = manifest_version_of(name);
     if (name.ends_with(".tmp") ||
         (segment_name_of(name).has_value() && !live.contains(name)) ||
-        (version.has_value() && (*version > manifest_version_ ||
-                                 *version + 1 < manifest_version_))) {
+        (version.has_value() && (*version > catalog_.version ||
+                                 *version + 1 < catalog_.version))) {
       fs::remove(file.path(), ec);
     }
   }
 
   opened_ = true;
-  stats_.recovered_records = index_.size();
+  stats_.recovered_records = catalog_.entries.size();
   stats_.recovery_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   bump(metrics_.recovered, stats_.recovered_records);
+  bump(metrics_.dropped, stats_.segments_dropped);
   sync_gauges();
   return util::Status::ok_status();
 }
 
-void PersistEngine::recover_segment(const ManifestSegment& listed) {
-  const auto name = segment_name_of(listed.file);
-  if (name.has_value()) {
-    next_segment_ = std::max(next_segment_, name->number + 1);
-  }
-  const std::string path = dir_ + "/" + listed.file;
-  auto bytes = name.has_value() ? read_file(path)
-                                : util::Result<std::string>{io_error(
-                                      "not a segment file name")};
-  auto parsed = bytes.ok() ? parse_segment_index(bytes.value())
-                           : util::Result<SegmentIndex>{bytes.error()};
-  // A segment holds one capture, of the tier its name says. Its listed
-  // tier may say summary over a raw file (a drop not yet demoted), never
-  // raw over a summary one.
-  std::string unusable;
-  if (!parsed.ok()) {
-    unusable = parsed.error().str();
-  } else if (parsed.value().entries.size() != 1) {
-    unusable = "holds " + std::to_string(parsed.value().entries.size()) +
-               " captures";
-  } else if (parsed.value().tier != name->tier ||
-             (parsed.value().tier == kTierSummary &&
-              listed.tier == kTierRaw)) {
-    unusable = "tier disagrees with its name or the manifest";
-  } else if (index_.contains(parsed.value().entries[0].id)) {
-    unusable = "duplicate capture " + parsed.value().entries[0].id.str();
-  }
-  if (!unusable.empty()) {
-    // Its capture is cleanly lost; the file is collected unless another
-    // entry holds it.
-    BLAB_WARN("persist", "dropping segment " << path << ": " << unusable);
-    ++stats_.segments_dropped;
-    return;
-  }
-  SegmentEntry& e = parsed.value().entries[0];
-  next_seq_ = std::max(next_seq_, e.id.seq + 1);
-  Entry entry;
-  entry.name = std::move(e.name);
-  entry.stored_at = e.stored_at;
-  entry.raw_dropped = listed.tier == kTierSummary;
-  entry.segment = listed.file;
-  entry.length = e.length;
-  entry.crc = e.crc;
-  index_.emplace(std::move(e.id), std::move(entry));
-}
-
 util::Result<std::string> PersistEngine::write_segment(
-    std::uint8_t tier, SegmentEntry entry, std::string_view image) {
+    std::uint8_t tier, std::string_view image) {
   const std::string file = std::string("seg-") +
                            (tier == kTierRaw ? "r" : "s") + "-" +
                            std::to_string(next_segment_++) + ".blsg";
-  const std::string header = segment_header(tier);
-  entry.offset = header.size();
-  entry.length = image.size();
-  const std::uint64_t index_offset = entry.offset + entry.length;
-  const std::string footer = segment_footer({entry}, index_offset);
-  // Write-time self check: the index must parse back and tile the payload.
-  if (auto parsed = parse_segment_footer(footer, index_offset); !parsed.ok()) {
-    return parsed.error();
-  }
-  if (auto st = write_file_atomic(dir_ + "/" + file, {header, image, footer});
-      !st.ok()) {
+  if (auto st = write_file_atomic(dir_ + "/" + file, image); !st.ok()) {
     return st.error();
   }
-  const std::uint64_t bytes = index_offset + footer.size();
   ++stats_.segment_flushes;
-  stats_.segment_bytes += bytes;
+  stats_.segment_bytes += image.size();
   bump(metrics_.segment_flushes);
-  bump(metrics_.segment_bytes, bytes);
+  bump(metrics_.segment_bytes, image.size());
   return file;
 }
 
 util::Result<std::string> PersistEngine::read_capture(
-    const CaptureId& id, const Entry& entry) const {
-  auto bytes = read_file_slice(dir_ + "/" + entry.segment, kSegmentHeaderBytes,
-                               entry.length);
-  if (bytes.ok() && crc32c(bytes.value()) != entry.crc) {
-    return checksum_mismatch(id, entry.segment);
+    const ManifestEntry& entry) const {
+  auto bytes = read_file(dir_ + "/" + entry.file);
+  if (bytes.ok() && (bytes.value().size() != entry.length ||
+                     crc32c(bytes.value()) != entry.crc)) {
+    return checksum_mismatch(entry.id, entry.file);
   }
   return bytes;
 }
@@ -331,97 +328,79 @@ util::Status PersistEngine::append(const CaptureId& id,
                                    util::TimePoint stored_at,
                                    const ChunkedCapture& cc) {
   if (!opened_) return not_opened();
-  if (index_.contains(id)) {
+  const auto at = lower_bound_id(catalog_.entries, id);
+  if (at != catalog_.entries.end() && at->id == id) {
     return util::make_error(util::ErrorCode::kAlreadyExists,
                             id.str() + " is already persisted");
   }
   // The capture's image is written where it is and checksummed once; that
-  // CRC is its index entry's.
+  // CRC is its entry's.
   const std::string_view image = cc.serialize();
-  Entry entry;
-  entry.name = name;
-  entry.stored_at = stored_at;
-  entry.raw_dropped = !cc.raw_available();
-  entry.length = image.size();
-  entry.crc = crc32c(image);
-  auto file = write_segment(entry.raw_dropped ? kTierSummary : kTierRaw,
-                            {id, name, stored_at, 0, 0, entry.crc}, image);
+  const std::uint8_t tier = cc.raw_available() ? kTierRaw : kTierSummary;
+  auto file = write_segment(tier, image);
   if (!file.ok()) return file.error();
-  entry.segment = std::move(file).take();
 
   // The next manifest commits the append. Should it fail, the unlisted
   // segment file is left for open()'s garbage collection.
-  const std::uint64_t next_seq = next_seq_;
-  next_seq_ = std::max(next_seq_, id.seq + 1);
-  index_.emplace(id, std::move(entry));
-  if (auto st = install_manifest(); !st.ok()) {
-    index_.erase(id);
-    next_seq_ = next_seq;
-    return st;
-  }
-  sync_gauges();
-  return util::Status::ok_status();
+  Manifest next = catalog_;
+  next.next_seq = std::max(next.next_seq, id.seq + 1);
+  next.entries.insert(
+      next.entries.begin() + (at - catalog_.entries.begin()),
+      ManifestEntry{id, name, stored_at, std::move(file).take(), tier,
+                    image.size(), crc32c(image)});
+  return install_manifest(std::move(next));
 }
 
 util::Status PersistEngine::drop_raw(const std::vector<CaptureId>& ids) {
   if (!opened_) return not_opened();
-  std::vector<Entry*> dropped;
+  Manifest next = catalog_;
+  bool changed = false;
   for (const CaptureId& id : ids) {
-    const auto it = index_.find(id);
-    if (it == index_.end() || it->second.raw_dropped) continue;
-    it->second.raw_dropped = true;
-    dropped.push_back(&it->second);
+    ManifestEntry* entry = find_entry(next.entries, id);
+    if (entry == nullptr || entry->tier == kTierSummary) continue;
+    entry->tier = kTierSummary;
+    changed = true;
   }
-  if (dropped.empty()) return util::Status::ok_status();
-  if (auto st = install_manifest(); !st.ok()) {
-    for (Entry* entry : dropped) entry->raw_dropped = false;
-    return st;
-  }
-  return util::Status::ok_status();
+  return changed ? install_manifest(std::move(next))
+                 : util::Status::ok_status();
 }
 
 util::Status PersistEngine::erase(const std::vector<CaptureId>& ids) {
   if (!opened_) return not_opened();
-  std::vector<std::map<CaptureId, Entry>::node_type> erased;
+  Manifest next = catalog_;
+  std::vector<std::string> files;
   for (const CaptureId& id : ids) {
-    if (auto node = index_.extract(id)) erased.push_back(std::move(node));
+    const auto it = lower_bound_id(next.entries, id);
+    if (it == next.entries.end() || it->id != id) continue;
+    files.push_back(std::move(it->file));
+    next.entries.erase(it);
   }
-  if (erased.empty()) return util::Status::ok_status();
-  if (auto st = install_manifest(); !st.ok()) {
-    for (auto& node : erased) index_.insert(std::move(node));
-    return st;
-  }
+  if (files.empty()) return util::Status::ok_status();
+  if (auto st = install_manifest(std::move(next)); !st.ok()) return st;
   // Unlisted now: a crash before a delete leaves a file open() collects.
-  for (const auto& node : erased) remove_segment(node.mapped().segment);
-  sync_gauges();
+  for (const std::string& file : files) remove_segment(file);
   return util::Status::ok_status();
 }
 
-util::Status PersistEngine::install_manifest() {
-  Manifest manifest;
-  manifest.version = manifest_version_ + 1;
-  manifest.next_seq = next_seq_;
-  manifest.segments.reserve(index_.size());
-  for (const auto& [id, entry] : index_) {
-    manifest.segments.push_back(
-        {entry.segment, entry.raw_dropped ? kTierSummary : kTierRaw});
-  }
-  const std::string bytes = encode_manifest(manifest);
+util::Status PersistEngine::install_manifest(Manifest next) {
+  next.version = catalog_.version + 1;
   if (auto st = write_file_atomic(
-          dir_ + "/manifest-" + std::to_string(manifest.version), {bytes});
+          dir_ + "/manifest-" + std::to_string(next.version),
+          encode_manifest(next));
       !st.ok()) {
     return st;
   }
-  manifest_version_ = manifest.version;
+  catalog_ = std::move(next);
   ++stats_.manifest_installs;
   bump(metrics_.manifest_installs);
   // open() left at most this version's two predecessors, and every install
   // since removed the one before its own predecessor.
-  if (manifest_version_ >= 2) {
+  if (catalog_.version >= 2) {
     std::error_code ec;
-    fs::remove(dir_ + "/manifest-" + std::to_string(manifest_version_ - 2),
+    fs::remove(dir_ + "/manifest-" + std::to_string(catalog_.version - 2),
                ec);
   }
+  sync_gauges();
   return util::Status::ok_status();
 }
 
@@ -436,65 +415,53 @@ const char* checkpoint_cause_name(CheckpointCause cause) {
 
 util::Status PersistEngine::checkpoint(CheckpointCause cause) {
   if (!opened_) return not_opened();
-  // A demotion's new file, length and crc; swapped into its entry for the
-  // install, after which it holds the raw file's.
-  struct Demotion {
-    Entry* entry;
-    std::string segment;
-    std::uint64_t length;
-    std::uint32_t crc;
-    void swap() {
-      std::swap(entry->segment, segment);
-      std::swap(entry->length, length);
-      std::swap(entry->crc, crc);
-    }
-  };
-  // The read-back check: the capture must still match its entry's CRC. One
-  // that does not, or whose summary cannot be written, stays listed as a
-  // summary over its raw file (a corrupt one keeps failing load()), and the
-  // first such error is returned once the others are committed.
-  std::vector<Demotion> demotions;
+  // Each demotion points its entry in the next catalog at a new summary
+  // file. The read-back check: the capture must still match its entry's
+  // CRC. One that does not, or whose summary cannot be written, stays
+  // listed as a summary over its raw file (a corrupt one keeps failing
+  // load()), and the first such error is returned once the others are
+  // committed.
+  Manifest next = catalog_;
+  std::vector<std::string> written;
+  std::vector<std::string> replaced;
+  std::uint64_t read_bytes = 0;
   util::Status first_error = util::Status::ok_status();
-  const auto demote = [&](const CaptureId& id, Entry& entry) -> util::Status {
-    auto capture = read_capture(id, entry);
+  const auto demote = [&](ManifestEntry& entry) -> util::Status {
+    auto capture = read_capture(entry);
     if (!capture.ok()) return capture.error();
     auto image = ChunkedCapture::summary_image(capture.value());
     if (!image.ok()) return image.error();
-    const std::uint32_t crc = crc32c(image.value());
-    auto file = write_segment(
-        kTierSummary, {id, entry.name, entry.stored_at, 0, 0, crc},
-        image.value());
+    auto file = write_segment(kTierSummary, image.value());
     if (!file.ok()) return file.error();
-    demotions.push_back(
-        {&entry, std::move(file).take(), image.value().size(), crc});
+    written.push_back(file.value());
+    replaced.push_back(std::exchange(entry.file, std::move(file).take()));
+    read_bytes += entry.length;
+    entry.length = image.value().size();
+    entry.crc = crc32c(image.value());
     return util::Status::ok_status();
   };
-  for (auto& [id, entry] : index_) {
-    if (!entry.raw_dropped || !entry.segment.starts_with("seg-r-")) continue;
-    if (auto st = demote(id, entry); !st.ok() && first_error.ok()) {
+  for (ManifestEntry& entry : next.entries) {
+    if (entry.tier != kTierSummary || !entry.file.starts_with("seg-r-")) {
+      continue;
+    }
+    if (auto st = demote(entry); !st.ok() && first_error.ok()) {
       first_error = st;
     }
   }
-  if (demotions.empty()) return first_error;
+  if (written.empty()) return first_error;
 
   // Manifest install is the commit point: everything before it is invisible
   // to recovery, everything after it is cleanup a crash may skip. A failed
   // install removes the summary files written for it.
-  for (Demotion& d : demotions) d.swap();
-  if (auto st = install_manifest(); !st.ok()) {
-    for (Demotion& d : demotions) {
-      d.swap();
-      remove_segment(d.segment);
-    }
+  if (auto st = install_manifest(std::move(next)); !st.ok()) {
+    for (const std::string& file : written) remove_segment(file);
     return st;
   }
-  for (const Demotion& d : demotions) {
-    remove_segment(d.segment);
-    stats_.demotion_bytes += d.length;
-    bump(metrics_.demotion_bytes, d.length);
-  }
-  stats_.demotions += demotions.size();
-  bump(metrics_.demotions, demotions.size());
+  for (const std::string& file : replaced) remove_segment(file);
+  stats_.demotion_bytes += read_bytes;
+  bump(metrics_.demotion_bytes, read_bytes);
+  stats_.demotions += written.size();
+  bump(metrics_.demotions, written.size());
   ++stats_.checkpoints;
   ++stats_.checkpoints_by_cause[static_cast<std::size_t>(cause)];
   bump(metrics_.checkpoints[static_cast<std::size_t>(cause)]);
@@ -504,9 +471,10 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
 void PersistEngine::scan_catalog(
     util::TimePoint t0, util::TimePoint t1,
     const std::function<void(const EntryInfo&)>& fn) const {
-  for (const auto& [id, entry] : index_) {
+  for (const ManifestEntry& entry : catalog_.entries) {
     if (entry.stored_at < t0 || entry.stored_at >= t1) continue;
-    fn(EntryInfo{id, entry.name, entry.stored_at, entry.raw_dropped});
+    fn(EntryInfo{entry.id, entry.name, entry.stored_at,
+                 entry.tier == kTierSummary});
   }
 }
 
@@ -516,12 +484,12 @@ std::uint64_t PersistEngine::run_retention(util::TimePoint now,
   const std::uint64_t before = disk_usage_bytes();
   std::vector<CaptureId> erase_ids;
   std::vector<CaptureId> drop_ids;
-  for (const auto& [id, entry] : index_) {
+  for (const ManifestEntry& entry : catalog_.entries) {
     const util::Duration age = now - entry.stored_at;
     if (age >= policy.summary_ttl) {
-      erase_ids.push_back(id);
-    } else if (age >= policy.raw_ttl && !entry.raw_dropped) {
-      drop_ids.push_back(id);
+      erase_ids.push_back(entry.id);
+    } else if (age >= policy.raw_ttl && entry.tier == kTierRaw) {
+      drop_ids.push_back(entry.id);
     }
   }
   util::Status st = erase(erase_ids);
@@ -536,48 +504,48 @@ std::uint64_t PersistEngine::run_retention(util::TimePoint now,
 }
 
 bool PersistEngine::contains(const CaptureId& id) const {
-  return index_.contains(id);
+  return find_entry(catalog_.entries, id) != nullptr;
 }
 
 std::optional<PersistEngine::EntryInfo> PersistEngine::info(
     const CaptureId& id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return std::nullopt;
-  return EntryInfo{id, it->second.name, it->second.stored_at,
-                   it->second.raw_dropped};
+  const ManifestEntry* entry = find_entry(catalog_.entries, id);
+  if (entry == nullptr) return std::nullopt;
+  return EntryInfo{id, entry->name, entry->stored_at,
+                   entry->tier == kTierSummary};
 }
 
 std::vector<CaptureId> PersistEngine::list(
     const std::string& workspace) const {
   std::vector<CaptureId> ids;
-  for (auto it = index_.lower_bound(CaptureId{workspace, 0});
-       it != index_.end() && it->first.workspace == workspace; ++it) {
-    ids.push_back(it->first);
+  for (auto it = lower_bound_id(catalog_.entries, CaptureId{workspace, 0});
+       it != catalog_.entries.end() && it->id.workspace == workspace; ++it) {
+    ids.push_back(it->id);
   }
   return ids;
 }
 
 std::vector<std::string> PersistEngine::workspaces() const {
   std::vector<std::string> names;
-  for (const auto& [id, entry] : index_) {
-    if (names.empty() || names.back() != id.workspace) {
-      names.push_back(id.workspace);
+  for (const ManifestEntry& entry : catalog_.entries) {
+    if (names.empty() || names.back() != entry.id.workspace) {
+      names.push_back(entry.id.workspace);
     }
   }
   return names;
 }
 
 util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) {
+  const ManifestEntry* entry = find_entry(catalog_.entries, id);
+  if (entry == nullptr) {
     return util::make_error(util::ErrorCode::kNotFound,
                             "no persisted capture " + id.str());
   }
-  auto bytes = read_capture(id, it->second);
+  auto bytes = read_capture(*entry);
   if (!bytes.ok()) return bytes.error();
   auto cc = ChunkedCapture::deserialize(bytes.value());
   if (!cc.ok()) return cc.error();
-  if (it->second.raw_dropped && cc.value().raw_available()) {
+  if (entry->tier == kTierSummary && cc.value().raw_available()) {
     cc.value().drop_raw();
   }
   ++stats_.disk_loads;

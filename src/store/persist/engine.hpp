@@ -3,23 +3,27 @@
 // On-disk layout, one flat directory per deployment:
 //
 //   <dir>/manifest-<version>   versioned, CRC-sealed catalog
-//   <dir>/seg-r-7.blsg         one capture, raw chunks intact
-//   <dir>/seg-s-3.blsg         one capture, raw purged (summary tier)
+//   <dir>/seg-r-7.blsg         one capture's image, raw chunks intact
+//   <dir>/seg-s-3.blsg         one capture's image, raw purged (summary tier)
 //   ...
 //
-// Every segment holds exactly one capture, and every change commits by
-// installing the next manifest version, which lists each live segment with
-// the tier of its capture: the manifest is the store's only commit point,
-// and write_file_atomic its only durable write. An append writes the
-// capture's in-memory image once, by reference, into a segment of its own.
-// A drop-raw call marks its captures summary; an erase call unlists their
-// segments, then deletes them. Either installs one manifest per call,
-// whatever its id count, and none when nothing changes. A checkpoint
-// demotes every capture the manifest marks summary whose file is still a
-// raw segment: it writes the summary image into a seg-s file, commits, and
-// deletes the raw file. Recovery picks the highest manifest that parses,
-// opens its segments, and garbage-collects orphans: unlisted segments,
-// stale manifests and `.tmp` leftovers of interrupted writes.
+// A segment file is its capture's ChunkedCapture image, byte for byte. The
+// manifest is the catalog: it lists every capture with its id, name,
+// stored_at, tier, segment file, and image length and CRC. Every change
+// commits by installing the next manifest version, so the manifest is the
+// store's only commit point, and write_file_atomic its only durable write;
+// the engine's index is the last manifest it installed or recovered. An
+// append writes the capture's in-memory image once, by reference, into a
+// segment of its own. A drop-raw call marks its captures summary; an erase
+// call unlists their segments, then deletes them. Either installs one
+// manifest per call, whatever its id count, and none when nothing changes.
+// A checkpoint demotes every capture the manifest marks summary whose file
+// is still a raw segment: it writes the summary image into a seg-s file,
+// commits, and deletes the raw file. Recovery picks the highest manifest
+// that parses, checks each listed file's name and size with one stat, and
+// garbage-collects orphans: unlisted segments, stale manifests and `.tmp`
+// leftovers of interrupted writes. It reads no segment byte. A manifest of
+// another format version refuses the whole store, with no file touched.
 //
 // Crucially for DST: the engine does no background work, consumes no
 // randomness and never reads the wall clock into logical state — every
@@ -33,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -73,7 +76,7 @@ struct PersistStats {
   std::uint64_t demotions = 0;  ///< raw segments rewritten as summary ones
   std::uint64_t demotion_bytes = 0;  ///< capture bytes read to demote
   std::uint64_t recovered_records = 0;  ///< index entries after open()
-  std::uint64_t segments_dropped = 0;  ///< unusable segments at recovery
+  std::uint64_t segments_dropped = 0;  ///< listed entries open() dropped
   std::uint64_t disk_loads = 0;  ///< cold capture loads served
   std::uint64_t retention_bytes_reclaimed = 0;
   double recovery_ms = 0.0;  ///< wall time of the last open()
@@ -86,7 +89,9 @@ class PersistEngine {
   PersistEngine(const PersistEngine&) = delete;
   PersistEngine& operator=(const PersistEngine&) = delete;
 
-  /// Create-or-recover the store at `dir`. Idempotent per instance.
+  /// Create-or-recover the store at `dir`. Idempotent per instance. Fails
+  /// with kFailedPrecondition, touching no file, when a manifest in `dir`
+  /// is of another format version.
   util::Status open();
   bool opened() const { return opened_; }
   const std::string& dir() const { return dir_; }
@@ -145,8 +150,8 @@ class PersistEngine {
   /// First sequence number a recovered store may hand out: one past the
   /// largest persisted sequence (also carried by the manifest so erased
   /// records never resurrect an old sequence).
-  std::uint64_t next_seq() const { return next_seq_; }
-  std::size_t size() const { return index_.size(); }
+  std::uint64_t next_seq() const { return catalog_.next_seq; }
+  std::size_t size() const { return catalog_.entries.size(); }
 
   /// Total bytes in `dir` (segments + manifests).
   std::uint64_t disk_usage_bytes() const;
@@ -157,14 +162,6 @@ class PersistEngine {
   void attach_metrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Entry {
-    std::string name;
-    util::TimePoint stored_at;
-    bool raw_dropped = false;
-    std::string segment;  ///< its one-capture file in dir_
-    std::uint64_t length = 0;  ///< capture bytes, right after the header
-    std::uint32_t crc = 0;  ///< crc32c of the capture bytes
-  };
   struct Metrics {
     obs::Counter* manifest_installs = nullptr;
     obs::Counter* segment_flushes = nullptr;
@@ -174,38 +171,35 @@ class PersistEngine {
     obs::Counter* demotions = nullptr;
     obs::Counter* demotion_bytes = nullptr;
     obs::Counter* recovered = nullptr;
+    obs::Counter* dropped = nullptr;
     obs::Counter* disk_loads = nullptr;
     obs::Counter* reclaimed = nullptr;
     obs::Gauge* recovery_ms = nullptr;
     obs::Gauge* disk_entries = nullptr;
   };
 
-  /// Index the capture of one listed segment, or count the segment dropped
-  /// when it is unreadable or breaks the one-capture invariant.
-  void recover_segment(const ManifestSegment& listed);
-  /// Write `image` as the one capture of a new segment file of `tier`,
-  /// under `entry`'s id, name, stamp and crc. Returns the file name. Not
-  /// yet cataloged.
+  /// Write `image` into a new segment file of `tier`. Returns the file
+  /// name. Not yet listed.
   util::Result<std::string> write_segment(std::uint8_t tier,
-                                          SegmentEntry entry,
                                           std::string_view image);
-  /// A capture's bytes from its segment, checked against the entry's CRC.
-  util::Result<std::string> read_capture(const CaptureId& id,
-                                         const Entry& entry) const;
+  /// A capture's image, read from its whole segment file and checked
+  /// against the entry's length and CRC.
+  util::Result<std::string> read_capture(const ManifestEntry& entry) const;
   void remove_segment(const std::string& file);
-  /// The commit point: write the index as the next manifest version, then
-  /// keep the previous manifest as the recovery fallback and prune the one
-  /// before it.
-  util::Status install_manifest();
+  /// The commit point: write `next` as the next manifest version and make
+  /// it the catalog, then keep the previous manifest as the recovery
+  /// fallback and prune the one before it. On failure the catalog is as
+  /// it was.
+  util::Status install_manifest(Manifest next);
   static void bump(obs::Counter* c, std::uint64_t n = 1);
   void sync_gauges();
 
   std::string dir_;
   bool opened_ = false;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t next_segment_ = 1;
-  std::uint64_t manifest_version_ = 0;
-  std::map<CaptureId, Entry> index_;
+  /// The index: the last manifest installed, or the recovered one less the
+  /// entries open() dropped. Its entries are ascending by id.
+  Manifest catalog_;
   PersistStats stats_;
   Metrics metrics_;
 };

@@ -173,17 +173,15 @@ fs::path plant_file(const fs::path& dir, PlantedFile kind, util::Rng& rng) {
       bytes = garbage();
       break;
     case PlantedFile::kSegment: {
-      // An append that renamed its segment and died before its install.
+      // An append that renamed its segment, the capture's bare image, and
+      // died before its install.
       std::vector<float> samples(
           static_cast<std::size_t>(rng.uniform_int(1, 400)));
       for (float& v : samples) v = static_cast<float>(rng.uniform(5.0, 900.0));
       const store::ChunkedCapture cc = store::ChunkedCapture::encode(
           hw::Capture{TimePoint::epoch(), 5000.0, 3.85, std::move(samples)});
       path = dir / ("seg-r-" + next_segment + ".blsg");
-      bytes = store::persist::build_segment(
-          store::persist::kTierRaw, {{{"vp-ghost", 1}, "GHOST",
-                                      TimePoint::epoch(),
-                                      std::string{cc.serialize()}}});
+      bytes = cc.serialize();
       break;
     }
     case PlantedFile::kTmp:

@@ -9,8 +9,8 @@
 // deployment boots on the same directory, and recovery must reproduce the
 // snapshot byte for byte. Most seeds also plant a file a crash could have
 // left at one of the store's write points — a torn next manifest, a
-// segment no manifest lists, or a `.tmp` leftover — which recovery must
-// ignore and collect.
+// capture image in a segment no manifest lists, or a `.tmp` leftover —
+// which recovery must ignore and collect.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@ namespace blab::testing {
 enum class PlantedFile {
   kNone,
   kManifest,  ///< garbage manifest-<v+1>: recovery falls back to v
-  kSegment,   ///< well-formed seg-r-<n>.blsg no manifest lists
+  kSegment,   ///< a capture image in a seg-r-<n>.blsg no manifest lists
   kTmp,       ///< garbage `.tmp` leftover of an interrupted write
 };
 const char* planted_file_name(PlantedFile planted);

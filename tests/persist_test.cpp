@@ -1,6 +1,6 @@
-// Durable capture store: CRC32C, segment/manifest formats, the
-// PersistEngine write and recovery paths (one capture per segment, every
-// change committed by one manifest, demotion, retention, garbage
+// Durable capture store: CRC32C, the manifest format, the PersistEngine
+// write and recovery paths (a segment file is its capture's image, every
+// change is committed by one manifest, demotion, retention, garbage
 // collection), and the CaptureStore integration (archive-through appends,
 // transparent cold queries).
 //
@@ -206,113 +206,6 @@ TEST(Crc32c, Sse42CpuSelectsTheInstructionPath) {
 }
 
 // ------------------------------------------------------------------------
-// Segment format.
-// ------------------------------------------------------------------------
-
-std::vector<persist::SegmentRecord> make_segment_fixture() {
-  return {
-      {{"vp-oslo", 1}, "DEV-1", TimePoint::from_micros(100), capture_bytes(21, 90)},
-      {{"vp-oslo", 4}, "DEV-2", TimePoint::from_micros(200), capture_bytes(22, 30)},
-      {{"vp-rio", 2}, "DEV-3", TimePoint::from_micros(300), capture_bytes(23, 150)},
-  };
-}
-
-TEST(SegmentFormat, BuildParseRoundTripIsCanonical) {
-  const auto records = make_segment_fixture();
-  const std::string image = persist::build_segment(persist::kTierRaw, records);
-  const auto parsed = persist::parse_segment_index(image);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-  EXPECT_EQ(parsed.value().tier, persist::kTierRaw);
-  ASSERT_EQ(parsed.value().entries.size(), records.size());
-  std::vector<persist::SegmentRecord> rebuilt;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& e = parsed.value().entries[i];
-    EXPECT_EQ(e.id, records[i].id);
-    EXPECT_EQ(e.name, records[i].name);
-    const auto payload = persist::segment_capture_bytes(image, e);
-    ASSERT_TRUE(payload.ok()) << payload.error().str();
-    EXPECT_EQ(payload.value(), records[i].capture);
-    rebuilt.push_back({e.id, e.name, e.stored_at,
-                       std::string{payload.value()}});
-  }
-  EXPECT_EQ(persist::build_segment(parsed.value().tier, rebuilt), image);
-}
-
-TEST(SegmentFormat, FooterFlipAtEveryOffsetFailsCleanOrChecksums) {
-  // Flip every byte of the index + trailer region (the "footer"): the parse
-  // either rejects the image, or the per-entry CRCs still police every
-  // payload read — corrupted bytes can never surface as sample data.
-  const auto records = make_segment_fixture();
-  const std::string image = persist::build_segment(persist::kTierSummary,
-                                                   records);
-  const auto clean = persist::parse_segment_index(image);
-  ASSERT_TRUE(clean.ok());
-  const std::size_t footer_begin =
-      static_cast<std::size_t>(clean.value().entries.back().offset +
-                               clean.value().entries.back().length);
-  for (std::size_t pos = footer_begin; pos < image.size(); ++pos) {
-    std::string tampered = image;
-    tampered[pos] ^= 0x5A;
-    const auto parsed = persist::parse_segment_index(tampered);
-    if (!parsed.ok()) continue;  // clean rejection
-    for (const auto& e : parsed.value().entries) {
-      const auto payload = persist::segment_capture_bytes(tampered, e);
-      if (payload.ok()) {
-        EXPECT_EQ(persist::crc32c(payload.value()), e.crc) << "pos " << pos;
-      }
-    }
-  }
-}
-
-TEST(SegmentFormat, PayloadFlipIsCaughtByEntryCrc) {
-  const auto records = make_segment_fixture();
-  const std::string image = persist::build_segment(persist::kTierRaw, records);
-  const auto parsed = persist::parse_segment_index(image);
-  ASSERT_TRUE(parsed.ok());
-  for (const auto& e : parsed.value().entries) {
-    for (std::uint64_t delta = 0; delta < e.length;
-         delta += std::max<std::uint64_t>(1, e.length / 7)) {
-      std::string tampered = image;
-      tampered[e.offset + delta] ^= 0x01;
-      // The index itself is untouched, so parsing still succeeds...
-      const auto reparsed = persist::parse_segment_index(tampered);
-      ASSERT_TRUE(reparsed.ok());
-      // ...but the flipped entry's payload read must fail its CRC.
-      const auto payload = persist::segment_capture_bytes(tampered, e);
-      EXPECT_FALSE(payload.ok()) << e.id.str() << " delta " << delta;
-    }
-  }
-}
-
-TEST(SegmentFormat, RejectsNonDenseTiling) {
-  // Hand-build an image with a gap between payloads by lying in the index:
-  // easiest route is truncating/permuting a real build — here we just check
-  // a segment built from records reparses only as-is, and that inserting a
-  // byte into the payload region breaks the tiling checks.
-  const auto records = make_segment_fixture();
-  std::string image = persist::build_segment(persist::kTierRaw, records);
-  image.insert(persist::kSegmentMagic.size() + 1 + 5, 1, '\x00');
-  EXPECT_FALSE(persist::parse_segment_index(image).ok());
-}
-
-TEST(SegmentFormat, RejectsIndexOffsetPastTheEnd) {
-  // The trailer's index offset is read from the file. One near 2^64 must be
-  // rejected, not wrap the range check and slice past the end.
-  const std::string image =
-      persist::build_segment(persist::kTierRaw, make_segment_fixture());
-  for (const std::uint64_t offset :
-       {~std::uint64_t{0}, ~std::uint64_t{0} - 7,
-        std::uint64_t{image.size()}}) {
-    std::string tampered = image;
-    const std::size_t at = tampered.size() - persist::kSegmentTrailerBytes;
-    for (std::size_t i = 0; i < 8; ++i) {
-      tampered[at + i] = static_cast<char>(offset >> (8 * i));
-    }
-    EXPECT_FALSE(persist::parse_segment_index(tampered).ok()) << offset;
-  }
-}
-
-// ------------------------------------------------------------------------
 // Manifest format.
 // ------------------------------------------------------------------------
 
@@ -320,9 +213,13 @@ persist::Manifest make_manifest_fixture() {
   persist::Manifest manifest;
   manifest.version = 12;
   manifest.next_seq = 99;
-  manifest.segments = {{"seg-r-1.blsg", persist::kTierRaw},
-                       {"seg-r-2.blsg", persist::kTierSummary},
-                       {"seg-s-3.blsg", persist::kTierSummary}};
+  manifest.entries = {
+      {{"vp-oslo", 1}, "DEV-1", TimePoint::from_micros(100), "seg-r-1.blsg",
+       persist::kTierRaw, 2908791, 0x1234ABCDu},
+      {{"vp-oslo", 4}, "DEV-2", TimePoint::from_micros(200), "seg-r-2.blsg",
+       persist::kTierSummary, 31, 0xFFFFFFFFu},
+      {{"vp-rio", 2}, "", TimePoint::from_micros(-5), "seg-s-3.blsg",
+       persist::kTierSummary, 0, 0}};
   return manifest;
 }
 
@@ -331,6 +228,7 @@ TEST(ManifestFormat, RoundTripsAndDetectsCorruption) {
   const std::string image = persist::encode_manifest(manifest);
   const auto parsed = persist::parse_manifest(image);
   ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+  // The fixture sets every entry field, so equality covers each of them.
   EXPECT_TRUE(parsed.value() == manifest);
   EXPECT_EQ(persist::encode_manifest(parsed.value()), image);
   for (std::size_t pos = 0; pos < image.size(); ++pos) {
@@ -339,6 +237,23 @@ TEST(ManifestFormat, RoundTripsAndDetectsCorruption) {
     const auto bad = persist::parse_manifest(tampered);
     // The trailing CRC covers every byte, so any single flip is detected.
     EXPECT_FALSE(bad.ok()) << "pos " << pos;
+  }
+}
+
+TEST(ManifestFormat, RejectsUnsortedOrRepeatedIds) {
+  // Entries are strictly ascending by id: one canonical order, in which a
+  // repeated id cannot be written. Either defect under a valid CRC fails
+  // the parse.
+  persist::Manifest swapped = make_manifest_fixture();
+  std::swap(swapped.entries[0], swapped.entries[1]);
+  persist::Manifest repeated = make_manifest_fixture();
+  repeated.entries[1].id = repeated.entries[0].id;
+  persist::Manifest seq_down = make_manifest_fixture();
+  seq_down.entries[1].id.seq = 0;
+  for (const persist::Manifest* m : {&swapped, &repeated, &seq_down}) {
+    const auto parsed = persist::parse_manifest(persist::encode_manifest(*m));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, blab::util::ErrorCode::kInvalidArgument);
   }
 }
 
@@ -375,38 +290,47 @@ void expect_flat_store(const fs::path& dir) {
   EXPECT_LE(manifests, 2u);
 }
 
-/// Requires every segment file in `dir` to be, byte for byte, what
-/// build_segment makes of its one capture: the record's raw image in a
-/// seg-r file, its summary image in a seg-s file. Returns each file's id.
-std::map<std::string, CaptureId> expect_canonical_segments(
-    const fs::path& dir,
-    const std::map<CaptureId, persist::SegmentRecord>& records) {
-  std::map<std::string, CaptureId> found;
-  for (const std::string& file : files_with_prefix(dir, "seg-")) {
-    const std::string image = read_all(dir / file);
-    const auto parsed = persist::parse_segment_index(image);
-    if (!parsed.ok() || parsed.value().entries.size() != 1) {
-      ADD_FAILURE() << file << " does not hold exactly one capture";
-      continue;
+/// The catalog the store in `dir` last committed: its highest manifest.
+persist::Manifest newest_manifest(const fs::path& dir) {
+  const auto names = files_with_prefix(dir, "manifest-");
+  std::string newest;
+  for (const std::string& name : names) {
+    if (newest.empty() || std::stoull(name.substr(9)) >
+                              std::stoull(newest.substr(9))) {
+      newest = name;
     }
-    const CaptureId& id = parsed.value().entries[0].id;
-    const auto it = records.find(id);
-    if (it == records.end()) {
-      ADD_FAILURE() << file << " holds unexpected " << id.str();
-      continue;
-    }
-    const persist::SegmentRecord& r = it->second;
-    const std::uint8_t tier =
-        file.starts_with("seg-r-") ? persist::kTierRaw : persist::kTierSummary;
-    const std::string capture =
-        tier == persist::kTierRaw
-            ? r.capture
-            : ChunkedCapture::summary_image(r.capture).value();
-    EXPECT_TRUE(image == persist::build_segment(
-                             tier, {{r.id, r.name, r.stored_at, capture}}))
-        << file;
-    found.emplace(file, id);
   }
+  auto parsed = persist::parse_manifest(read_all(dir / newest));
+  EXPECT_TRUE(parsed.ok()) << newest;
+  return parsed.ok() ? parsed.value() : persist::Manifest{};
+}
+
+/// Requires every segment file in `dir` to be listed by the newest
+/// manifest and to be, byte for byte, its capture's image at its tier: the
+/// raw image in a seg-r file, its summary image in a seg-s file. Returns
+/// each file's id.
+std::map<std::string, CaptureId> expect_canonical_segments(
+    const fs::path& dir, const std::map<CaptureId, std::string>& images) {
+  std::map<std::string, CaptureId> found;
+  for (const persist::ManifestEntry& entry : newest_manifest(dir).entries) {
+    const auto it = images.find(entry.id);
+    if (it == images.end()) {
+      ADD_FAILURE() << entry.file << " holds unexpected " << entry.id.str();
+      continue;
+    }
+    const std::string image =
+        entry.file.starts_with("seg-r-")
+            ? it->second
+            : ChunkedCapture::summary_image(it->second).value();
+    const std::string bytes = read_all(dir / entry.file);
+    EXPECT_TRUE(bytes == image) << entry.file;
+    EXPECT_EQ(entry.length, bytes.size()) << entry.file;
+    EXPECT_EQ(entry.crc, persist::crc32c(bytes)) << entry.file;
+    found.emplace(entry.file, entry.id);
+  }
+  std::vector<std::string> listed;
+  for (const auto& [file, id] : found) listed.push_back(file);
+  EXPECT_EQ(files_with_prefix(dir, "seg-"), listed);
   return found;
 }
 
@@ -483,9 +407,9 @@ TEST(PersistEngine, AppendsSurviveWithoutWalOrCheckpoint) {
 
 TEST(PersistEngine, AppendWritesEachImageOnceIntoItsOwnSegment) {
   // One write per capture: each append's segment file is, byte for byte,
-  // what build_segment makes of that one record (header, image, index and
-  // trailer), so segment_bytes is the images plus their headers and
-  // footers and nothing else.
+  // the capture's image, so segment_bytes is the images and nothing else.
+  // The manifest lists each capture's record: id, name, stamp, file, tier,
+  // and the image's length and CRC.
   const std::string dir = scratch_dir("onewrite");
   ChunkedCapture summary = ChunkedCapture::encode(make_capture(37, 3000));
   summary.drop_raw();
@@ -494,29 +418,32 @@ TEST(PersistEngine, AppendWritesEachImageOnceIntoItsOwnSegment) {
       ChunkedCapture::encode(make_capture(38, 100), 7)};
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
+  // Segment numbers follow append order.
+  const char* files[] = {"seg-r-1.blsg", "seg-s-2.blsg", "seg-r-3.blsg"};
   std::vector<std::string> expected;
+  std::vector<persist::ManifestEntry> listed;
   std::uint64_t expected_bytes = 0;
   for (std::uint64_t i = 0; i < std::size(captures); ++i) {
     const CaptureId id{"vp-" + std::to_string(i), i + 1};
     const TimePoint at = TimePoint::from_micros(1000 * (i + 1));
     ASSERT_TRUE(engine.append(id, "DEV", at, captures[i]).ok());
-    const std::uint8_t tier = captures[i].raw_available()
-                                  ? persist::kTierRaw
-                                  : persist::kTierSummary;
-    expected.push_back(persist::build_segment(
-        tier, {{id, "DEV", at, std::string{captures[i].serialize()}}}));
+    expected.emplace_back(captures[i].serialize());
     expected_bytes += expected.back().size();
+    listed.push_back({id, "DEV", at, files[i],
+                      captures[i].raw_available() ? persist::kTierRaw
+                                                  : persist::kTierSummary,
+                      expected.back().size(), persist::crc32c(expected.back())});
   }
   EXPECT_EQ(engine.stats().manifest_installs, std::size(captures));
   EXPECT_EQ(engine.stats().checkpoints, 0u);
   EXPECT_EQ(engine.stats().segment_flushes, std::size(captures));
   EXPECT_EQ(engine.stats().segment_bytes, expected_bytes);
-  // Segment numbers follow append order: seg-r-1, seg-s-2, seg-r-3.
   const fs::path root{dir};
-  EXPECT_TRUE(read_all(root / "seg-r-1.blsg") == expected[0]);
-  EXPECT_TRUE(read_all(root / "seg-s-2.blsg") == expected[1]);
-  EXPECT_TRUE(read_all(root / "seg-r-3.blsg") == expected[2]);
+  for (std::size_t i = 0; i < std::size(captures); ++i) {
+    EXPECT_TRUE(read_all(root / files[i]) == expected[i]) << files[i];
+  }
   EXPECT_EQ(files_with_prefix(dir, "seg-").size(), std::size(captures));
+  EXPECT_TRUE(newest_manifest(root).entries == listed);
   // Each append installed a manifest; only it and its predecessor remain.
   EXPECT_EQ(files_with_prefix(dir, "manifest-"),
             (std::vector<std::string>{"manifest-2", "manifest-3"}));
@@ -624,8 +551,8 @@ TEST(PersistEngine, FailedInstallLeavesIndexAndCatalogUnchanged) {
 
 TEST(PersistEngine, CrashBetweenSegmentRenameAndManifestInstall) {
   // A crash after an append renamed its segment but before its manifest
-  // was installed leaves a well-formed segment no manifest lists. It was
-  // never acknowledged: open() deletes it and indexes nothing from it.
+  // was installed leaves a capture's image in a segment no manifest lists.
+  // It was never acknowledged: open() deletes it.
   const std::string dir = scratch_dir("unlisted");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(40, 200));
   const fs::path orphan = fs::path{dir} / "seg-r-99.blsg";
@@ -637,15 +564,11 @@ TEST(PersistEngine, CrashBetweenSegmentRenameAndManifestInstall) {
   }
   {
     std::ofstream out{orphan, std::ios::binary};
-    const std::string image = persist::build_segment(
-        persist::kTierRaw, {{{"vp-ghost", 7}, "DEV", TimePoint::epoch(),
-                             std::string{cc.serialize()}}});
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    out << cc.serialize();
   }
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   EXPECT_FALSE(fs::exists(orphan));
-  EXPECT_FALSE(engine.contains({"vp-ghost", 7}));
   EXPECT_EQ(engine.size(), 1u);
   EXPECT_EQ(engine.next_seq(), 2u);
   std::error_code ec;
@@ -780,10 +703,7 @@ TEST(PersistEngine, CommittedDropSurvivesRestartBeforeCheckpoint) {
   EXPECT_EQ(files_with_prefix(dir, "seg-"),
             (std::vector<std::string>{"seg-r-2.blsg", "seg-s-3.blsg"}));
   EXPECT_TRUE(read_all(fs::path{dir} / "seg-s-3.blsg") ==
-              persist::build_segment(
-                  persist::kTierSummary,
-                  {{id, "DEV", TimePoint::from_micros(500),
-                    std::string{summary.serialize()}}}));
+              summary.serialize());
   // Demoted: a second checkpoint has nothing to do.
   ASSERT_TRUE(engine.checkpoint().ok());
   EXPECT_EQ(engine.stats().checkpoints, 1u);
@@ -792,44 +712,62 @@ TEST(PersistEngine, CommittedDropSurvivesRestartBeforeCheckpoint) {
 }
 
 TEST(PersistEngine, RecoveryDropsSegmentsBreakingTheOneCaptureInvariant) {
-  // A listed segment must hold exactly one capture, and a manifest that
-  // says raw cannot list a summary segment. Recovery drops any that break
-  // this, counts them, and keeps the rest.
+  // Each listed entry owns one segment file holding exactly its image.
+  // Recovery drops, counts and reports an entry whose file is missing, of
+  // another size than listed, not a segment file name, a summary segment
+  // listed raw, or already named by an earlier entry; it keeps the rest,
+  // including a summary listed over a raw file (a pending demotion).
   const std::string dir = scratch_dir("invariant");
   const fs::path root{dir};
   const std::string cc = capture_bytes(45, 120);
+  const std::string summary = ChunkedCapture::summary_image(cc).value();
   const auto write = [&root](const std::string& file, const std::string& s) {
     std::ofstream out{root / file, std::ios::binary};
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
   };
-  write("seg-r-1.blsg",
-        persist::build_segment(
-            persist::kTierRaw, {{{"vp-a", 1}, "DEV", TimePoint::epoch(), cc},
-                                {{"vp-a", 2}, "DEV", TimePoint::epoch(), cc}}));
-  write("seg-s-2.blsg",
-        persist::build_segment(persist::kTierSummary,
-                               {{{"vp-b", 3}, "DEV", TimePoint::epoch(),
-                                 ChunkedCapture::summary_image(cc).value()}}));
-  write("seg-r-3.blsg", persist::build_segment(persist::kTierRaw, {}));
-  write("seg-r-4.blsg",
-        persist::build_segment(persist::kTierRaw,
-                               {{{"vp-c", 4}, "DEV", TimePoint::epoch(), cc}}));
+  const auto entry = [](CaptureId id, const std::string& file,
+                        std::uint8_t tier, const std::string& image) {
+    return persist::ManifestEntry{std::move(id), "DEV", TimePoint::epoch(),
+                                  file, tier, image.size(),
+                                  persist::crc32c(image)};
+  };
+  write("seg-r-1.blsg", cc);
+  write("seg-r-3.blsg", cc + "x");
+  write("notes.blsg", cc);
+  write("seg-s-5.blsg", summary);
+  write("seg-r-7.blsg", cc);
   persist::Manifest manifest;
   manifest.version = 1;
-  manifest.next_seq = 5;
-  manifest.segments = {{"seg-r-1.blsg", persist::kTierRaw},
-                       {"seg-s-2.blsg", persist::kTierRaw},
-                       {"seg-r-3.blsg", persist::kTierRaw},
-                       {"seg-r-4.blsg", persist::kTierRaw}};
+  manifest.next_seq = 8;
+  manifest.entries = {
+      entry({"vp-a", 1}, "seg-r-1.blsg", persist::kTierRaw, cc),
+      entry({"vp-a", 2}, "seg-r-2.blsg", persist::kTierRaw, cc),  // missing
+      entry({"vp-a", 3}, "seg-r-3.blsg", persist::kTierRaw, cc),  // longer
+      entry({"vp-b", 4}, "notes.blsg", persist::kTierRaw, cc),
+      entry({"vp-b", 5}, "seg-s-5.blsg", persist::kTierRaw, summary),
+      entry({"vp-c", 6}, "seg-r-1.blsg", persist::kTierRaw, cc),  // repeated
+      entry({"vp-c", 7}, "seg-r-7.blsg", persist::kTierSummary, cc)};
   write("manifest-1", persist::encode_manifest(manifest));
 
+  blab::obs::MetricsRegistry registry;
   persist::PersistEngine engine{dir};
+  engine.attach_metrics(&registry);
   ASSERT_TRUE(engine.open().ok());
-  EXPECT_EQ(engine.stats().segments_dropped, 3u);
-  EXPECT_EQ(engine.size(), 1u);
-  EXPECT_TRUE(engine.contains({"vp-c", 4}));
+  EXPECT_EQ(engine.stats().segments_dropped, 5u);
+  EXPECT_EQ(registry.snapshot().value_or("blab_persist_segments_dropped_total"),
+            5.0);
+  EXPECT_EQ(engine.size(), 2u);
+  EXPECT_TRUE(engine.contains({"vp-a", 1}));
+  ASSERT_TRUE(engine.info({"vp-c", 7}).has_value());
+  EXPECT_TRUE(engine.info({"vp-c", 7})->raw_dropped);
   EXPECT_EQ(files_with_prefix(dir, "seg-"),
-            std::vector<std::string>{"seg-r-4.blsg"});
+            (std::vector<std::string>{"seg-r-1.blsg", "seg-r-7.blsg"}));
+  EXPECT_TRUE(fs::exists(root / "notes.blsg"));  // not the store's file
+  // A registry attached after open() catches up.
+  blab::obs::MetricsRegistry late;
+  engine.attach_metrics(&late);
+  EXPECT_EQ(late.snapshot().value_or("blab_persist_segments_dropped_total"),
+            5.0);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -946,6 +884,8 @@ TEST(PersistEngine, ScanCatalogVisitsWindowAscendingById) {
 }
 
 TEST(PersistEngine, CorruptSegmentTrailerDropsOnlyThatSegment) {
+  // A segment that lost its trailing bytes no longer has its listed
+  // length: recovery drops that entry alone and collects its file.
   const std::string dir = scratch_dir("seggone");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(34, 100));
   {
@@ -960,19 +900,88 @@ TEST(PersistEngine, CorruptSegmentTrailerDropsOnlyThatSegment) {
                             cc)
                     .ok());
   }
-  // Smash the victim's segment trailer.
-  {
-    std::fstream f{fs::path{dir} / "seg-r-1.blsg",
-                   std::ios::binary | std::ios::in | std::ios::out};
-    f.seekp(-4, std::ios::end);
-    f.write("XXXX", 4);
-  }
+  const fs::path victim = fs::path{dir} / "seg-r-1.blsg";
+  fs::resize_file(victim, fs::file_size(victim) - 4);
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());  // recovery proceeds, with a loss report
   EXPECT_EQ(engine.stats().segments_dropped, 1u);
   EXPECT_FALSE(engine.contains({"vp-a", 1}));
   EXPECT_EQ(engine.size(), 1u);  // the other capture is untouched
-  EXPECT_FALSE(fs::exists(fs::path{dir} / "seg-r-1.blsg"));
+  EXPECT_TRUE(engine.load({"vp-b", 2}).ok());
+  EXPECT_FALSE(fs::exists(victim));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, RecoveryReadsNoSegmentByte) {
+  // A listed segment overwritten with zeros of its own length still
+  // passes recovery's one stat, so open() indexes it: recovery reads no
+  // segment byte. Its load then fails the manifest's CRC.
+  const std::string dir = scratch_dir("zeros");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(46, 300));
+  const CaptureId id{"vp-a", 1};
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(engine.append(id, "DEV", TimePoint::from_micros(100), cc)
+                    .ok());
+  }
+  {
+    std::ofstream out{fs::path{dir} / "seg-r-1.blsg",
+                      std::ios::binary | std::ios::trunc};
+    out << std::string(cc.serialize().size(), '\0');
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_EQ(engine.stats().segments_dropped, 0u);
+  EXPECT_TRUE(engine.contains(id));
+  const auto loaded = engine.load(id);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, OpenRefusesAStoreOfAnotherFormatVersion) {
+  // A manifest whose magic names another BLMF version belongs to another
+  // build: open() fails naming it and touches no file, rather than
+  // starting an empty store and collecting every segment.
+  const std::string dir = scratch_dir("foreign");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(47, 200));
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_TRUE(engine
+                      .append({"vp-a", seq}, "DEV",
+                              TimePoint::from_micros(seq), cc)
+                      .ok());
+    }
+  }
+  const fs::path root{dir};
+  for (const std::string& name : files_with_prefix(dir, "manifest-")) {
+    std::fstream f{root / name,
+                   std::ios::binary | std::ios::in | std::ios::out};
+    f.write("BLMF2", 5);
+  }
+  std::map<std::string, std::string> before;
+  for (const std::string& name : files_with_prefix(dir, "")) {
+    before[name] = read_all(root / name);
+  }
+  ASSERT_EQ(before.size(), 5u);  // three segments, two manifests
+
+  persist::PersistEngine engine{dir};
+  const auto st = engine.open();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, blab::util::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(st.error().message.find("BLMF2"), std::string::npos)
+      << st.error().str();
+  EXPECT_FALSE(engine.opened());
+  std::map<std::string, std::string> after;
+  for (const std::string& name : files_with_prefix(dir, "")) {
+    after[name] = read_all(root / name);
+  }
+  EXPECT_TRUE(after == before);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -1001,8 +1010,7 @@ TEST(PersistEngine, CorruptSegmentCaptureFailsLoadAndCheckpoint) {
     }
     ASSERT_TRUE(engine->load(id).ok());
     {
-      const auto flip_at = static_cast<std::streamoff>(
-          persist::kSegmentHeaderBytes + capture_size / 2);
+      const auto flip_at = static_cast<std::streamoff>(capture_size / 2);
       std::fstream f{segment, std::ios::binary | std::ios::in | std::ios::out};
       f.seekg(flip_at);
       const int byte = f.get();
@@ -1055,8 +1063,7 @@ TEST(PersistEngine, CorruptCaptureDoesNotStopTheOtherDemotions) {
     }
     std::vector<std::string> segments;
     for (const CaptureId& id : corrupt) {
-      const auto flip_at = static_cast<std::streamoff>(
-          persist::kSegmentHeaderBytes + capture_size / 2);
+      const auto flip_at = static_cast<std::streamoff>(capture_size / 2);
       std::fstream f{fs::path{dir} / raw_file(id),
                      std::ios::binary | std::ios::in | std::ios::out};
       f.seekg(flip_at);
@@ -1118,8 +1125,8 @@ TEST(PersistEngine, CorruptCaptureDoesNotStopTheOtherDemotions) {
 
 TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
   // Each retention pass erases the summary-expired captures and demotes the
-  // raw-expired ones. Afterwards every segment holds one capture, byte for
-  // byte build_segment of it at its tier, and every erased capture's file
+  // raw-expired ones. Afterwards every segment is listed and is, byte for
+  // byte, its capture's image at its tier, and every erased capture's file
   // is gone.
   const std::string dir = scratch_dir("ttl");
   RetentionPolicy policy;
@@ -1127,7 +1134,7 @@ TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
   policy.summary_ttl = Duration::minutes(240);
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
-  std::map<CaptureId, persist::SegmentRecord> records;
+  std::map<CaptureId, std::string> images;
   const std::pair<const char*, int> stamps[] = {
       {"vp-old", 0}, {"vp-mid", 100}, {"vp-new", 200}};
   for (std::uint64_t i = 0; i < std::size(stamps); ++i) {
@@ -1136,7 +1143,7 @@ TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
         TimePoint::epoch() + Duration::minutes(stamps[i].second);
     const ChunkedCapture cc = ChunkedCapture::encode(make_capture(50 + i, 2000));
     ASSERT_TRUE(engine.append(id, "DEV", at, cc).ok());
-    records[id] = {id, "DEV", at, std::string{cc.serialize()}};
+    images[id] = cc.serialize();
   }
   const std::uint64_t before = engine.disk_usage_bytes();
 
@@ -1151,7 +1158,7 @@ TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
   auto fresh = engine.load({"vp-new", 3});
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh.value().raw_available());
-  auto files = expect_canonical_segments(dir, records);
+  auto files = expect_canonical_segments(dir, images);
   ASSERT_EQ(files.size(), 3u);
   std::string old_file;
   for (const auto& [file, id] : files) {
@@ -1168,7 +1175,7 @@ TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
   EXPECT_FALSE(engine.contains({"vp-old", 1}));
   EXPECT_TRUE(engine.contains({"vp-new", 3}));
   EXPECT_FALSE(fs::exists(fs::path{dir} / old_file));
-  files = expect_canonical_segments(dir, records);
+  files = expect_canonical_segments(dir, images);
   ASSERT_EQ(files.size(), 2u);
   for (const auto& [file, id] : files) EXPECT_TRUE(file.starts_with("seg-s-"));
   EXPECT_EQ(engine.stats().segments_deleted, 4u);
