@@ -72,7 +72,7 @@ int main() {
       throw std::runtime_error{"open failed: " + st.str()};
     }
     store::CaptureStore st;
-    st.attach_persistence(&engine);
+    st.attach_persistence(engine);
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < kCaptures; ++i) {
       st.append("vp-" + std::to_string(i % 4), "bench", captures[i],
@@ -124,7 +124,7 @@ int main() {
   std::size_t cold_samples = 0;
   for (int r = 0; r < kRounds; ++r) {
     store::CaptureStore st;
-    st.attach_persistence(&cold_engine);
+    st.attach_persistence(cold_engine);
     cold_samples = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& ws : st.workspaces()) {
@@ -171,7 +171,7 @@ int main() {
       throw std::runtime_error{"retention open failed: " + st.str()};
     }
     store::CaptureStore st{policy};
-    st.attach_persistence(&engine);
+    st.attach_persistence(engine);
     for (std::size_t i = 0; i < kCaptures; ++i) {
       st.append("vp-" + std::to_string(i % 4), "bench", captures[i],
                 stored_at(i));

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer lane: build with ASan+UBSan (BLAB_SANITIZE=ON) and run the DST,
 # capture-store, telemetry and failure-injection suites, then the store
-# throughput bench. DST digests must come out identical under sanitizers —
-# instrumentation that changes behavior is itself a bug. The obs suite rides
-# along because its concurrency smokes (pooled corpus, multi-thread
-# logging/counters) are exactly what sanitizers are for.
+# throughput and persist benches. DST digests must come out identical under
+# sanitizers — instrumentation that changes behavior is itself a bug. The
+# obs suite rides along because its concurrency smokes (pooled corpus,
+# multi-thread logging/counters) are exactly what sanitizers are for.
 #
 # The lane ends with a fuzz smoke: every wire-surface harness (fuzz/) replays
 # the checked-in corpus, then runs FUZZ_RUNS bounded mutation rounds, all
@@ -22,13 +22,17 @@ cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBLAB_SANITIZE=ON -DBLAB_FUZZ=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target blab_dst store_test persist_test failure_test obs_test \
-           health_test store_throughput rest_backend_fuzz trace_io_fuzz \
-           store_codec_fuzz novnc_fuzz persist_fuzz make_seed_corpus
+           health_test store_throughput store_persist rest_backend_fuzz \
+           trace_io_fuzz store_codec_fuzz novnc_fuzz persist_fuzz \
+           make_seed_corpus
 ctest --test-dir "$BUILD_DIR" -L 'dst|store|obs|fuzz' --output-on-failure
 # failure_test carries no ctest label, so the lane above skips it; run it
 # directly.
 "$BUILD_DIR"/tests/failure_test
 "$BUILD_DIR"/bench/store_throughput
+# The one program that drives a CaptureStore over a reopened engine: cold
+# loads and a retention pass over cold records.
+"$BUILD_DIR"/bench/store_persist
 
 # Crash-recovery oracle, explicitly and at full width: kill-restart every
 # corpus scenario under the sanitizers (the ctest lane above already runs it

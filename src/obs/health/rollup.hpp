@@ -2,13 +2,13 @@
 // capture catalog (DESIGN.md §15).
 //
 // A rollup is a single deterministic scan of CaptureStore::catalog() — the
-// merged warm + cold id set, filtered by stored_at — reduced group-by-group
-// from chunk-footer summaries. Nothing here decodes raw samples: energy,
-// charge and mean come from CaptureStore::summary() (footer sums), and the
-// tail quantiles pool each capture's surviving-tier bucket means through
-// CaptureStore::percentiles(). Cold records are warmed transparently by the
-// store's existing cold path, so a rollup right after recovery sees exactly
-// what a rollup before the crash saw.
+// store's warm and cold records, filtered by stored_at — reduced
+// group-by-group from chunk-footer summaries. Nothing here decodes raw
+// samples: energy, charge and mean come from CaptureStore::summary()
+// (footer sums), and the tail quantiles pool each capture's surviving-tier
+// bucket means through CaptureStore::percentiles(). Cold records are warmed
+// transparently by the store's existing cold path, so a rollup right after
+// recovery sees exactly what a rollup before the crash saw.
 //
 // Determinism contract (the DST rollup oracle leans on this): captures are
 // folded in ascending CaptureId order with plain double accumulation, so a

@@ -45,7 +45,7 @@ util::Status AccessServer::enable_persistence(const std::string& dir) {
   if (auto st = engine->open(); !st.ok()) return st;
   persist_ = std::move(engine);
   persist_->attach_metrics(&sim_.metrics());
-  capture_store_.attach_persistence(persist_.get());
+  capture_store_.attach_persistence(*persist_);
   BLAB_INFO("access-server",
             "persistence enabled at " << dir << ": recovered "
                                       << persist_->stats().recovered_records

@@ -66,10 +66,10 @@ class AccessServer {
   static constexpr int kHealthPort = 8090;
 
   /// Turn on the fleet health engine (DESIGN.md §15): a rollup engine over
-  /// the capture store's merged warm+cold catalog, an SLO engine seeded
-  /// with the stock spec set plus one error-rate SLO per vantage point
-  /// approved so far, and a REST backend on kHealthPort serving GET /rollup
-  /// and GET /health. Call after onboarding so every vantage is covered.
+  /// the capture store's catalog, an SLO engine seeded with the stock
+  /// spec set plus one error-rate SLO per vantage point approved so far,
+  /// and a REST backend on kHealthPort serving GET /rollup and GET
+  /// /health. Call after onboarding so every vantage is covered.
   util::Status enable_health();
   bool health_enabled() const { return slo_ != nullptr; }
   health::RollupEngine* rollup_engine() { return rollup_.get(); }

@@ -85,15 +85,18 @@ Job make_capture_retention_job(AccessServer& server) {
   job.script = [&server](JobContext& ctx) -> util::Status {
     auto& store = server.capture_store();
     const auto now = server.simulator().now();
-    const std::uint64_t reclaimed_before =
-        store.stats().retention_bytes_reclaimed;
+    const auto* engine = server.persist_engine();
+    const auto reclaimed_total = [engine]() -> std::uint64_t {
+      return engine != nullptr ? engine->stats().retention_bytes_reclaimed
+                               : 0;
+    };
+    const std::uint64_t reclaimed_before = reclaimed_total();
     // Ages out in-memory chunks AND, when persistence is enabled, the
     // expired on-disk segments behind them (erase + demote).
     const std::size_t touched = store.run_retention(now);
     const std::size_t workspaces =
         server.scheduler().purge_workspaces(store.policy().summary_ttl);
-    const std::uint64_t reclaimed =
-        store.stats().retention_bytes_reclaimed - reclaimed_before;
+    const std::uint64_t reclaimed = reclaimed_total() - reclaimed_before;
     ctx.workspace->log("retention touched " + std::to_string(touched) +
                        " captures, purged " + std::to_string(workspaces) +
                        " workspaces, reclaimed " + std::to_string(reclaimed) +

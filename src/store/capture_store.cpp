@@ -18,6 +18,15 @@ util::Error not_found(const CaptureId& id) {
 
 }  // namespace
 
+RetentionPolicy::Action RetentionPolicy::action(util::TimePoint stored_at,
+                                                bool raw,
+                                                util::TimePoint now) const {
+  const util::Duration age = now - stored_at;
+  if (age >= summary_ttl) return Action::kErase;
+  if (raw && age >= raw_ttl) return Action::kDropRaw;
+  return Action::kKeep;
+}
+
 const char* capture_source_name(CaptureSource source) {
   switch (source) {
     case CaptureSource::kMemory: return "memory";
@@ -74,14 +83,11 @@ CaptureId CaptureStore::append(const std::string& workspace, std::string name,
                                util::TimePoint now) {
   CaptureId id{workspace, next_seq_++};
   obs::ScopedSpan span{tracer_, "store", "append_capture"};
-  Record record;
-  record.name = std::move(name);
-  record.stored_at = now;
-  record.capture = ChunkedCapture::encode(capture);
-  const std::uint64_t chunks = record.capture.chunk_count();
+  Record record{std::move(name), now, true, ChunkedCapture::encode(capture)};
+  const std::uint64_t chunks = record.capture->chunk_count();
   const std::uint64_t raw_bytes =
       static_cast<std::uint64_t>(capture.sample_count()) * sizeof(float);
-  const std::uint64_t encoded_bytes = record.capture.byte_size();
+  const std::uint64_t encoded_bytes = record.capture->byte_size();
   span.attr("workspace", workspace);
   span.attr("samples", static_cast<std::int64_t>(capture.sample_count()));
   span.attr("chunks", static_cast<std::int64_t>(chunks));
@@ -93,7 +99,7 @@ CaptureId CaptureStore::append(const std::string& workspace, std::string name,
     // failed archive keeps the in-memory record (still queryable this
     // process lifetime) and is surfaced as a warning, not an exception.
     if (auto st = persist_->append(id, it->second.name, now,
-                                   it->second.capture);
+                                   *it->second.capture);
         !st.ok()) {
       BLAB_WARN("store", "archive-through failed for " << id.str() << ": "
                                                        << st.str());
@@ -111,84 +117,60 @@ CaptureId CaptureStore::append(const std::string& workspace, std::string name,
   return id;
 }
 
-void CaptureStore::attach_persistence(persist::PersistEngine* engine) {
-  persist_ = engine;
-  if (persist_ != nullptr) {
-    // Resume sequencing past everything ever persisted (including erased
-    // records, via the manifest floor) so recovered ids never collide.
-    next_seq_ = std::max(next_seq_, persist_->next_seq());
-  }
+void CaptureStore::attach_persistence(persist::PersistEngine& engine) {
+  persist_ = &engine;
+  // Resume sequencing past everything ever persisted (including erased
+  // records, via the manifest floor) so recovered ids never collide.
+  next_seq_ = std::max(next_seq_, engine.next_seq());
+  engine.scan_catalog([this](const persist::PersistEngine::EntryInfo& e) {
+    records_.try_emplace(e.id, Record{e.name, e.stored_at, !e.raw_dropped,
+                                      std::nullopt});
+  });
+  sync_record_gauge();
 }
 
 bool CaptureStore::contains(const CaptureId& id) const {
-  return records_.contains(id) ||
-         (persist_ != nullptr && persist_->contains(id));
+  return records_.contains(id);
 }
 
 const ChunkedCapture* CaptureStore::find(const CaptureId& id) const {
   const Record* record = find_record(id);
-  return record != nullptr ? &record->capture : nullptr;
+  return record != nullptr && record->capture.has_value() ? &*record->capture
+                                                          : nullptr;
 }
 
 std::optional<std::string> CaptureStore::name_of(const CaptureId& id) const {
   if (const Record* record = find_record(id)) return record->name;
-  if (persist_ != nullptr) {
-    if (const auto info = persist_->info(id)) return info->name;
-  }
   return std::nullopt;
 }
 
 std::vector<CaptureId> CaptureStore::list(const std::string& workspace) const {
   std::vector<CaptureId> ids;
-  for (const auto& [id, record] : records_) {
-    if (id.workspace == workspace) ids.push_back(id);
-  }
-  if (persist_ != nullptr) {
-    // Warm records are also persisted, so the union is a sorted merge.
-    std::vector<CaptureId> merged;
-    const std::vector<CaptureId> cold = persist_->list(workspace);
-    std::merge(ids.begin(), ids.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
+  for (auto it = records_.lower_bound(CaptureId{workspace, 0});
+       it != records_.end() && it->first.workspace == workspace; ++it) {
+    ids.push_back(it->first);
   }
   return ids;
 }
 
 std::vector<std::string> CaptureStore::workspaces() const {
+  // CaptureId orders by (workspace, seq), so each workspace is one run.
   std::vector<std::string> names;
   for (const auto& [id, record] : records_) {
     if (names.empty() || names.back() != id.workspace) {
       names.push_back(id.workspace);
     }
   }
-  // CaptureId ordering is (workspace, seq), so names is already sorted but
-  // may repeat across interleaved appends only if sequences interleave —
-  // they cannot, map order guarantees grouping. Dedup defensively anyway.
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  if (persist_ != nullptr) {
-    std::vector<std::string> merged;
-    const std::vector<std::string> cold = persist_->workspaces();
-    std::merge(names.begin(), names.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
-  }
   return names;
 }
 
 util::Result<CaptureSource> CaptureStore::source_of(
     const CaptureId& id) const {
-  if (const Record* record = find_record(id)) {
-    return record->capture.raw_available() ? CaptureSource::kMemory
-                                           : CaptureSource::kTier;
-  }
-  if (persist_ != nullptr) {
-    if (const auto info = persist_->info(id)) {
-      return info->raw_dropped ? CaptureSource::kTier : CaptureSource::kDisk;
-    }
-  }
-  return not_found(id);
+  const Record* record = find_record(id);
+  if (record == nullptr) return not_found(id);
+  if (!record->raw) return CaptureSource::kTier;
+  return record->capture.has_value() ? CaptureSource::kMemory
+                                     : CaptureSource::kDisk;
 }
 
 const CaptureStore::Record* CaptureStore::find_record(
@@ -198,24 +180,21 @@ const CaptureStore::Record* CaptureStore::find_record(
 }
 
 const CaptureStore::Record* CaptureStore::warm_record(const CaptureId& id) {
-  if (const Record* record = find_record(id)) return record;
-  if (persist_ == nullptr) return nullptr;
-  const auto info = persist_->info(id);
-  if (!info.has_value()) return nullptr;
-  auto cc = persist_->load(id);
-  if (!cc.ok()) {
-    BLAB_WARN("store", "cold load failed for " << id.str() << ": "
-                                               << cc.error().str());
-    return nullptr;
+  const auto it = records_.find(id);
+  if (it == records_.end()) return nullptr;
+  Record& record = it->second;
+  if (!record.capture.has_value()) {
+    // Only attach_persistence() makes cold records, so persist_ is set.
+    auto cc = persist_->load(id);
+    if (!cc.ok()) {
+      BLAB_WARN("store", "cold load failed for " << id.str() << ": "
+                                                 << cc.error().str());
+      return nullptr;
+    }
+    record.capture = std::move(cc).take();
+    ++stats_.disk_loads;
   }
-  Record record;
-  record.name = info->name;
-  record.stored_at = info->stored_at;
-  record.capture = std::move(cc).take();
-  ++stats_.disk_loads;
-  const auto [it, inserted] = records_.emplace(id, std::move(record));
-  sync_record_gauge();
-  return &it->second;
+  return &record;
 }
 
 util::Result<std::vector<float>> CaptureStore::chunk_samples(
@@ -227,7 +206,7 @@ util::Result<std::vector<float>> CaptureStore::chunk_samples(
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return it->second->samples;
   }
-  auto samples = record.capture.decode_chunk(chunk);
+  auto samples = record.capture->decode_chunk(chunk);
   if (!samples.ok()) return samples;
   ++stats_.raw_chunk_decodes;
   bump(metrics_.decodes);
@@ -258,7 +237,7 @@ util::Result<hw::Capture> CaptureStore::range(const CaptureId& id,
                                               util::TimePoint t1) {
   const Record* record = warm_record(id);
   if (record == nullptr) return not_found(id);
-  const ChunkedCapture& cc = record->capture;
+  const ChunkedCapture& cc = *record->capture;
   if (!cc.raw_available()) {
     return util::make_error(util::ErrorCode::kFailedPrecondition,
                             "raw samples for " + id.str() +
@@ -305,7 +284,7 @@ util::Result<std::vector<AggregateBucket>> CaptureStore::aggregate(
     return util::make_error(util::ErrorCode::kInvalidArgument,
                             "aggregate window must be positive");
   }
-  const ChunkedCapture& cc = record->capture;
+  const ChunkedCapture& cc = *record->capture;
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
 
@@ -380,7 +359,7 @@ util::Result<std::vector<AggregateBucket>> CaptureStore::aggregate(
 util::Result<util::Cdf> CaptureStore::percentiles(const CaptureId& id) {
   const Record* record = warm_record(id);
   if (record == nullptr) return not_found(id);
-  const ChunkedCapture& cc = record->capture;
+  const ChunkedCapture& cc = *record->capture;
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
   util::Cdf cdf;
@@ -405,7 +384,7 @@ util::Result<double> CaptureStore::energy_mwh(const CaptureId& id) {
   if (record == nullptr) return not_found(id);
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
-  return record->capture.energy_mwh();
+  return record->capture->energy_mwh();
 }
 
 util::Result<double> CaptureStore::mean_ma(const CaptureId& id) {
@@ -413,7 +392,7 @@ util::Result<double> CaptureStore::mean_ma(const CaptureId& id) {
   if (record == nullptr) return not_found(id);
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
-  return record->capture.mean_ma();
+  return record->capture->mean_ma();
 }
 
 util::Result<CaptureSummary> CaptureStore::summary(const CaptureId& id) {
@@ -421,7 +400,7 @@ util::Result<CaptureSummary> CaptureStore::summary(const CaptureId& id) {
   if (record == nullptr) return not_found(id);
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
-  const ChunkedCapture& cc = record->capture;
+  const ChunkedCapture& cc = *record->capture;
   CaptureSummary s;
   s.id = id;
   s.name = record->name;
@@ -445,84 +424,67 @@ std::vector<CaptureId> CaptureStore::catalog(util::TimePoint t0,
   for (const auto& [id, record] : records_) {
     if (record.stored_at >= t0 && record.stored_at < t1) ids.push_back(id);
   }
-  if (persist_ != nullptr) {
-    // Warm records are also persisted, so the union is a sorted merge.
-    std::vector<CaptureId> cold;
-    persist_->scan_catalog(
-        t0, t1,
-        [&cold](const persist::PersistEngine::EntryInfo& entry) {
-          cold.push_back(entry.id);
-        });
-    std::vector<CaptureId> merged;
-    std::merge(ids.begin(), ids.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
-  }
   return ids;
 }
 
 std::size_t CaptureStore::run_retention(util::TimePoint now) {
-  std::size_t touched = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    Record& record = it->second;
-    const util::Duration age = now - record.stored_at;
-    if (age >= policy_.summary_ttl) {
-      evict_capture(it->first);
-      it = records_.erase(it);
-      ++stats_.record_purges;
-      bump(metrics_.record_purges);
-      ++touched;
-      continue;
-    }
-    if (age >= policy_.raw_ttl && record.capture.raw_available()) {
-      evict_capture(it->first);
-      record.capture.drop_raw();
-      ++stats_.raw_purges;
-      bump(metrics_.raw_purges);
-      ++touched;
-    }
-    ++it;
+  std::vector<CaptureId> erase_ids;
+  std::vector<CaptureId> drop_ids;
+  for (const auto& [id, record] : records_) {
+    using enum RetentionPolicy::Action;
+    const auto action = policy_.action(record.stored_at, record.raw, now);
+    if (action == kErase) erase_ids.push_back(id);
+    if (action == kDropRaw) drop_ids.push_back(id);
   }
-  if (persist_ != nullptr) {
-    // The on-disk copy ages by the same policy: expired captures are erased
-    // or demoted into summary segments, and the freed bytes feed
-    // blab_store_retention_bytes_reclaimed_total.
-    stats_.retention_bytes_reclaimed += persist_->run_retention(now, policy_);
+  const auto follow = [&] {
+    for (const CaptureId& id : erase_ids) {
+      evict_capture(id);
+      records_.erase(id);
+    }
+    stats_.record_purges += erase_ids.size();
+    bump(metrics_.record_purges, erase_ids.size());
+    purge_raw(drop_ids);
+    sync_record_gauge();
+  };
+  // One manifest commits the pass. Memory follows it before the checkpoint
+  // reads the dropped captures back to demote them, so their raw images
+  // are released first. The checkpoint's freed bytes feed
+  // blab_store_retention_bytes_reclaimed_total.
+  if (persist_ == nullptr) {
+    follow();
+  } else if (auto st = persist_->retire(erase_ids, drop_ids, follow);
+             !st.ok()) {
+    BLAB_WARN("store", "retention not persisted: " << st.str());
+    return 0;
   }
-  sync_record_gauge();
-  return touched;
+  return erase_ids.size() + drop_ids.size();
 }
 
 std::size_t CaptureStore::drop_workspace_raw(const std::string& workspace) {
-  std::size_t touched = 0;
-  for (auto& [id, record] : records_) {
-    if (id.workspace != workspace || !record.capture.raw_available()) {
-      continue;
-    }
-    evict_capture(id);
-    record.capture.drop_raw();
-    ++stats_.raw_purges;
-    bump(metrics_.raw_purges);
-    ++touched;
+  std::vector<CaptureId> ids;
+  for (const CaptureId& id : list(workspace)) {
+    if (records_.at(id).raw) ids.push_back(id);
   }
   if (persist_ != nullptr) {
-    // Commit the purge for every persisted copy — including cold records
-    // this process never warmed — in one manifest, so a restart cannot
-    // resurrect raw samples the workspace purge already discarded.
-    std::vector<CaptureId> ids;
-    for (const CaptureId& id : persist_->list(workspace)) {
-      const auto info = persist_->info(id);
-      if (!info.has_value() || info->raw_dropped) continue;
-      ids.push_back(id);
-      if (!records_.contains(id)) ++touched;  // warm ones counted above
-    }
     if (auto st = persist_->drop_raw(ids); !st.ok()) {
       BLAB_WARN("store", "raw purge of " << workspace
                                          << " not persisted: " << st.str());
+      return 0;
     }
   }
-  return touched;
+  purge_raw(ids);
+  return ids.size();
+}
+
+void CaptureStore::purge_raw(const std::vector<CaptureId>& ids) {
+  for (const CaptureId& id : ids) {
+    evict_capture(id);
+    Record& record = records_.at(id);
+    record.raw = false;
+    if (record.capture.has_value()) record.capture->drop_raw();
+  }
+  stats_.raw_purges += ids.size();
+  bump(metrics_.raw_purges, ids.size());
 }
 
 }  // namespace blab::store

@@ -59,6 +59,12 @@ struct RetentionPolicy {
   util::Duration raw_ttl = util::Duration::minutes(30);
   /// Whole records (footers + tiers) older than this are dropped.
   util::Duration summary_ttl = util::Duration::minutes(240);
+
+  enum class Action { kKeep, kDropRaw, kErase };
+  /// The TTL rule, for a capture stored at `stored_at` whose raw tier is
+  /// kept iff `raw`: as of `now`, erase it once past the summary TTL, else
+  /// drop its raw tier once past the raw TTL.
+  Action action(util::TimePoint stored_at, bool raw, util::TimePoint now) const;
 };
 
 /// Footer/tier-level description of one capture — everything the rollup
@@ -92,7 +98,6 @@ struct StoreStats {
   std::uint64_t record_purges = 0;  ///< records dropped entirely
   std::uint64_t tier_queries = 0;   ///< queries served from tiers/footers
   std::uint64_t disk_loads = 0;     ///< cold records warmed from persistence
-  std::uint64_t retention_bytes_reclaimed = 0;  ///< on-disk bytes freed
 };
 
 /// Where a capture's data currently lives, for the REST `captures_source`
@@ -116,15 +121,16 @@ class CaptureStore {
                    const hw::Capture& capture, util::TimePoint now);
 
   // -- lookup ------------------------------------------------------------
-  /// True for warm (in-memory) and cold (persisted-only) records alike.
+  /// The lookups below read the store's one catalog, which lists warm
+  /// (resident) and cold (persisted, not yet loaded) records alike.
   bool contains(const CaptureId& id) const;
   /// Warm records only; cold records surface through the query API, which
   /// loads them transparently.
   const ChunkedCapture* find(const CaptureId& id) const;
   std::optional<std::string> name_of(const CaptureId& id) const;
-  /// Ids in `workspace` (warm and cold), ascending by sequence.
+  /// Ids in `workspace`, ascending by sequence.
   std::vector<CaptureId> list(const std::string& workspace) const;
-  /// All workspaces with at least one record (warm or cold), sorted.
+  /// All workspaces with at least one record, sorted.
   std::vector<std::string> workspaces() const;
   std::size_t size() const { return records_.size(); }
   /// Which tier would serve `id` right now (memory | disk | tier).
@@ -152,17 +158,20 @@ class CaptureStore {
 
   // -- catalog -----------------------------------------------------------
   /// Every capture id (warm or cold) whose stored_at falls in [t0, t1),
-  /// ascending — the rollup engine's scan surface. Cold entries come from
-  /// the persist engine's catalog without loading their payloads.
+  /// ascending — the rollup engine's scan surface. Loads no payload.
   std::vector<CaptureId> catalog(util::TimePoint t0, util::TimePoint t1) const;
 
   // -- retention ---------------------------------------------------------
+  // Both passes decide once over the catalog and, with persistence on,
+  // commit the decision before memory follows it: a pass whose commit
+  // fails changes nothing and returns 0, and the next pass retries it.
   const RetentionPolicy& policy() const { return policy_; }
   /// Apply TTLs as of `now`. Returns the number of records touched (raw
   /// purged + records dropped). Wired into server/maintenance.
   std::size_t run_retention(util::TimePoint now);
   /// Purge raw payloads for every record in `workspace` (job workspace
-  /// purge); summaries persist until their own TTL.
+  /// purge); summaries persist until their own TTL. Returns the number of
+  /// records purged.
   std::size_t drop_workspace_raw(const std::string& workspace);
 
   const StoreStats& stats() const { return stats_; }
@@ -179,19 +188,22 @@ class CaptureStore {
   /// chunk and byte counts. Null-safe like attach_metrics.
   void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach an opened durability engine: appends archive through to it,
-  /// cold queries load transparently from its segments, retention reclaims
-  /// its expired on-disk bytes, and the sequence counter resumes past the
-  /// largest persisted sequence. Null detaches. The engine must outlive the
-  /// store's last mutation (true for AccessServer, which owns both).
-  void attach_persistence(persist::PersistEngine* engine);
-  persist::PersistEngine* persistence() { return persist_; }
+  /// Attach an opened durability engine: its recovered captures join the
+  /// catalog cold, without a segment read; appends archive through to it,
+  /// queries load cold records from its segments, retention commits to it
+  /// first, and the sequence counter resumes past the largest persisted
+  /// sequence. The engine must outlive the store's last mutation (true for
+  /// AccessServer, which owns both).
+  void attach_persistence(persist::PersistEngine& engine);
 
  private:
+  /// One capture's catalog record. A cold record holds no capture until a
+  /// query loads it.
   struct Record {
     std::string name;
     util::TimePoint stored_at;
-    ChunkedCapture capture;
+    bool raw = true;  ///< its raw tier is kept
+    std::optional<ChunkedCapture> capture;
   };
   struct CacheKey {
     CaptureId id;
@@ -221,8 +233,10 @@ class CaptureStore {
   void sync_record_gauge();
 
   const Record* find_record(const CaptureId& id) const;
-  /// find_record, loading a cold record from the persist engine on miss.
+  /// find_record, loading a cold record's capture from the persist engine.
   const Record* warm_record(const CaptureId& id);
+  /// Drop the raw tier of each of `ids`, in memory only.
+  void purge_raw(const std::vector<CaptureId>& ids);
   /// Decoded samples for one chunk, through the LRU cache.
   util::Result<std::vector<float>> chunk_samples(const CaptureId& id,
                                                  const Record& record,
@@ -232,7 +246,7 @@ class CaptureStore {
   RetentionPolicy policy_;
   std::size_t cache_capacity_;
   std::uint64_t next_seq_ = 1;
-  // std::map keeps workspace/sequence iteration deterministic.
+  // The catalog; std::map keeps workspace/sequence iteration deterministic.
   std::map<CaptureId, Record> records_;
   std::list<CacheEntry> cache_lru_;  // front = most recent
   std::map<CacheKey, std::list<CacheEntry>::iterator> cache_index_;

@@ -351,31 +351,25 @@ util::Status PersistEngine::append(const CaptureId& id,
   return install_manifest(std::move(next));
 }
 
-util::Status PersistEngine::drop_raw(const std::vector<CaptureId>& ids) {
-  if (!opened_) return not_opened();
-  Manifest next = catalog_;
-  bool changed = false;
-  for (const CaptureId& id : ids) {
-    ManifestEntry* entry = find_entry(next.entries, id);
-    if (entry == nullptr || entry->tier == kTierSummary) continue;
-    entry->tier = kTierSummary;
-    changed = true;
-  }
-  return changed ? install_manifest(std::move(next))
-                 : util::Status::ok_status();
-}
-
-util::Status PersistEngine::erase(const std::vector<CaptureId>& ids) {
+util::Status PersistEngine::commit(const std::vector<CaptureId>& erase_ids,
+                                   const std::vector<CaptureId>& drop_ids) {
   if (!opened_) return not_opened();
   Manifest next = catalog_;
   std::vector<std::string> files;
-  for (const CaptureId& id : ids) {
+  for (const CaptureId& id : erase_ids) {
     const auto it = lower_bound_id(next.entries, id);
     if (it == next.entries.end() || it->id != id) continue;
     files.push_back(std::move(it->file));
     next.entries.erase(it);
   }
-  if (files.empty()) return util::Status::ok_status();
+  bool dropped = false;
+  for (const CaptureId& id : drop_ids) {
+    ManifestEntry* entry = find_entry(next.entries, id);
+    if (entry == nullptr || entry->tier == kTierSummary) continue;
+    entry->tier = kTierSummary;
+    dropped = true;
+  }
+  if (files.empty() && !dropped) return util::Status::ok_status();
   if (auto st = install_manifest(std::move(next)); !st.ok()) return st;
   // Unlisted now: a crash before a delete leaves a file open() collects.
   for (const std::string& file : files) remove_segment(file);
@@ -469,38 +463,45 @@ util::Status PersistEngine::checkpoint(CheckpointCause cause) {
 }
 
 void PersistEngine::scan_catalog(
-    util::TimePoint t0, util::TimePoint t1,
     const std::function<void(const EntryInfo&)>& fn) const {
   for (const ManifestEntry& entry : catalog_.entries) {
-    if (entry.stored_at < t0 || entry.stored_at >= t1) continue;
     fn(EntryInfo{entry.id, entry.name, entry.stored_at,
                  entry.tier == kTierSummary});
   }
 }
 
-std::uint64_t PersistEngine::run_retention(util::TimePoint now,
-                                           const RetentionPolicy& policy) {
-  if (!opened_) return 0;
+util::Status PersistEngine::retire(const std::vector<CaptureId>& erase_ids,
+                                   const std::vector<CaptureId>& drop_ids,
+                                   const std::function<void()>& committed) {
   const std::uint64_t before = disk_usage_bytes();
-  std::vector<CaptureId> erase_ids;
-  std::vector<CaptureId> drop_ids;
-  for (const ManifestEntry& entry : catalog_.entries) {
-    const util::Duration age = now - entry.stored_at;
-    if (age >= policy.summary_ttl) {
-      erase_ids.push_back(entry.id);
-    } else if (age >= policy.raw_ttl && entry.tier == kTierRaw) {
-      drop_ids.push_back(entry.id);
-    }
+  if (auto st = commit(erase_ids, drop_ids); !st.ok()) return st;
+  if (committed) committed();
+  if (auto st = checkpoint(CheckpointCause::kRetention); !st.ok()) {
+    BLAB_WARN("persist", "retention checkpoint failed: " << st.str());
   }
-  util::Status st = erase(erase_ids);
-  if (st.ok()) st = drop_raw(drop_ids);
-  if (st.ok()) st = checkpoint(CheckpointCause::kRetention);
-  if (!st.ok()) BLAB_WARN("persist", "retention failed: " << st.str());
   const std::uint64_t after = disk_usage_bytes();
   const std::uint64_t reclaimed = before > after ? before - after : 0;
   stats_.retention_bytes_reclaimed += reclaimed;
   bump(metrics_.reclaimed, reclaimed);
-  return reclaimed;
+  return util::Status::ok_status();
+}
+
+std::uint64_t PersistEngine::run_retention(util::TimePoint now,
+                                           const RetentionPolicy& policy) {
+  std::vector<CaptureId> erase_ids;
+  std::vector<CaptureId> drop_ids;
+  for (const ManifestEntry& entry : catalog_.entries) {
+    using enum RetentionPolicy::Action;
+    const auto action = policy.action(entry.stored_at, entry.tier == kTierRaw,
+                                      now);
+    if (action == kErase) erase_ids.push_back(entry.id);
+    if (action == kDropRaw) drop_ids.push_back(entry.id);
+  }
+  const std::uint64_t reclaimed = stats_.retention_bytes_reclaimed;
+  if (auto st = retire(erase_ids, drop_ids); !st.ok()) {
+    BLAB_WARN("persist", "retention failed: " << st.str());
+  }
+  return stats_.retention_bytes_reclaimed - reclaimed;
 }
 
 bool PersistEngine::contains(const CaptureId& id) const {
@@ -513,26 +514,6 @@ std::optional<PersistEngine::EntryInfo> PersistEngine::info(
   if (entry == nullptr) return std::nullopt;
   return EntryInfo{id, entry->name, entry->stored_at,
                    entry->tier == kTierSummary};
-}
-
-std::vector<CaptureId> PersistEngine::list(
-    const std::string& workspace) const {
-  std::vector<CaptureId> ids;
-  for (auto it = lower_bound_id(catalog_.entries, CaptureId{workspace, 0});
-       it != catalog_.entries.end() && it->id.workspace == workspace; ++it) {
-    ids.push_back(it->id);
-  }
-  return ids;
-}
-
-std::vector<std::string> PersistEngine::workspaces() const {
-  std::vector<std::string> names;
-  for (const ManifestEntry& entry : catalog_.entries) {
-    if (names.empty() || names.back() != entry.id.workspace) {
-      names.push_back(entry.id.workspace);
-    }
-  }
-  return names;
 }
 
 util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {

@@ -15,8 +15,9 @@
 // the engine's index is the last manifest it installed or recovered. An
 // append writes the capture's in-memory image once, by reference, into a
 // segment of its own. A drop-raw call marks its captures summary; an erase
-// call unlists their segments, then deletes them. Either installs one
-// manifest per call, whatever its id count, and none when nothing changes.
+// call unlists their segments, then deletes them. A retention pass does
+// both. Each installs one manifest per call, whatever its id count, and
+// none when nothing changes.
 // A checkpoint demotes every capture the manifest marks summary whose file
 // is still a raw segment: it writes the summary image into a seg-s file,
 // commits, and deletes the raw file. Recovery picks the highest manifest
@@ -108,8 +109,21 @@ class PersistEngine {
   /// captures already summary, change nothing; a call that changes nothing
   /// installs nothing. On failure the index is as it was. A dropped
   /// capture's file stays a raw segment until the next checkpoint.
-  util::Status drop_raw(const std::vector<CaptureId>& ids);
-  util::Status erase(const std::vector<CaptureId>& ids);
+  util::Status drop_raw(const std::vector<CaptureId>& ids) {
+    return commit({}, ids);
+  }
+  util::Status erase(const std::vector<CaptureId>& ids) {
+    return commit(ids, {});
+  }
+  /// One retention pass: erase `erase_ids` and purge the raw tier of
+  /// `drop_ids` with one manifest, call `committed` once it is installed,
+  /// then run a retention checkpoint and add the bytes freed to
+  /// retention_bytes_reclaimed. Returns the commit's status, and on
+  /// failure does not call `committed`. A checkpoint failing after the
+  /// commit is logged, and the next checkpoint retries its demotions.
+  util::Status retire(const std::vector<CaptureId>& erase_ids,
+                      const std::vector<CaptureId>& drop_ids,
+                      const std::function<void()>& committed = {});
 
   /// Demote every capture committed as summary whose file is still a raw
   /// segment: write its summary image into a segment of its own, commit
@@ -122,9 +136,8 @@ class PersistEngine {
   /// tier's scheduled cadence from retention passes.
   util::Status checkpoint(CheckpointCause cause = CheckpointCause::kManual);
 
-  /// Apply TTLs to the on-disk copy: erase the summary-expired captures,
-  /// drop the raw tier of the raw-expired ones, and checkpoint. Returns the
-  /// bytes reclaimed.
+  /// Apply TTLs to the on-disk copy: retire what RetentionPolicy::action
+  /// expires. Returns the bytes reclaimed.
   std::uint64_t run_retention(util::TimePoint now,
                               const RetentionPolicy& policy);
 
@@ -137,13 +150,9 @@ class PersistEngine {
   };
   bool contains(const CaptureId& id) const;
   std::optional<EntryInfo> info(const CaptureId& id) const;
-  /// Visit every entry whose stored_at falls in [t0, t1), ascending by id —
-  /// the rollup engine's catalog-iteration surface. Touches only the index,
-  /// never capture payloads.
-  void scan_catalog(util::TimePoint t0, util::TimePoint t1,
-                    const std::function<void(const EntryInfo&)>& fn) const;
-  std::vector<CaptureId> list(const std::string& workspace) const;
-  std::vector<std::string> workspaces() const;
+  /// Visit every entry, ascending by id. Touches only the index, never
+  /// capture payloads.
+  void scan_catalog(const std::function<void(const EntryInfo&)>& fn) const;
   /// Materialize one capture from its segment, checksummed.
   util::Result<ChunkedCapture> load(const CaptureId& id);
 
@@ -186,6 +195,9 @@ class PersistEngine {
   /// against the entry's length and CRC.
   util::Result<std::string> read_capture(const ManifestEntry& entry) const;
   void remove_segment(const std::string& file);
+  /// drop_raw and erase in one: one manifest for both lists.
+  util::Status commit(const std::vector<CaptureId>& erase_ids,
+                      const std::vector<CaptureId>& drop_ids);
   /// The commit point: write `next` as the next manifest version and make
   /// it the catalog, then keep the previous manifest as the recovery
   /// fallback and prune the one before it. On failure the catalog is as

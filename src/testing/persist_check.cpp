@@ -110,7 +110,6 @@ void commit_changes(server::AccessServer& server, util::Rng& rng,
     store::persist::PersistEngine& engine = *server.persist_engine();
     std::vector<std::int64_t> stamps;
     engine.scan_catalog(
-        TimePoint::epoch(), TimePoint::max(),
         [&stamps](const store::persist::PersistEngine::EntryInfo& e) {
           stamps.push_back(e.stored_at.us());
         });

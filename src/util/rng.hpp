@@ -43,7 +43,7 @@ class Rng {
   /// identically to n calls of normal(mean, stddev), bit for bit — and any
   /// split of n into consecutive fills produces the same stream, so
   /// block-wise capture synthesis is free to choose its block size. The win
-  /// is mechanical: one call per block, generator state kept in registers.
+  /// is mechanical: one call per block, with normal() inlined into its loop.
   void fill_normal(std::span<double> out, double mean, double stddev);
   /// Log-normal with given *linear-space* median and sigma of underlying normal.
   double lognormal_median(double median, double sigma);

@@ -2,7 +2,8 @@
 // write and recovery paths (a segment file is its capture's image, every
 // change is committed by one manifest, demotion, retention, garbage
 // collection), and the CaptureStore integration (archive-through appends,
-// transparent cold queries).
+// a reopened store's cold catalog, transparent cold queries, and purges
+// and retention passes that change memory only once their commit holds).
 //
 // The exhaustive torn-write sweeps live here rather than in the fuzz lane:
 // truncating and byte-flipping a small fixture at *every* offset is cheap
@@ -514,10 +515,9 @@ TEST(PersistEngine, FailedInstallLeavesIndexAndCatalogUnchanged) {
   ASSERT_TRUE(engine.drop_raw({{"vp-a", 3}}).ok());  // manifest-4
   const auto catalog = [&engine] {
     std::string out;
-    engine.scan_catalog(TimePoint::epoch(), TimePoint::max(),
-                        [&out](const persist::PersistEngine::EntryInfo& e) {
-                          out += e.id.str() + (e.raw_dropped ? " s;" : " r;");
-                        });
+    engine.scan_catalog([&out](const persist::PersistEngine::EntryInfo& e) {
+      out += e.id.str() + (e.raw_dropped ? " s;" : " r;");
+    });
     return out;
   };
   fs::create_directory(root / "manifest-5.tmp");
@@ -673,7 +673,7 @@ TEST(PersistEngine, CommittedDropSurvivesRestartBeforeCheckpoint) {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
     CaptureStore store;
-    store.attach_persistence(&engine);
+    store.attach_persistence(engine);
     id = store.append("vp-x", "DEV", original, TimePoint::from_micros(500));
     (void)store.append("vp-y", "DEV", original, TimePoint::from_micros(600));
     ASSERT_EQ(store.drop_workspace_raw("vp-x"), 1u);
@@ -685,7 +685,7 @@ TEST(PersistEngine, CommittedDropSurvivesRestartBeforeCheckpoint) {
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   CaptureStore store;
-  store.attach_persistence(&engine);
+  store.attach_persistence(engine);
   EXPECT_EQ(engine.size(), 2u);
   auto source = store.source_of(id);
   ASSERT_TRUE(source.ok());
@@ -846,39 +846,6 @@ TEST(PersistEngine, CheckpointCausesAreCountedAndLabeled) {
   EXPECT_STREQ(
       persist::checkpoint_cause_name(persist::CheckpointCause::kRetention),
       "retention");
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-}
-
-TEST(PersistEngine, ScanCatalogVisitsWindowAscendingById) {
-  const std::string dir = scratch_dir("scancat");
-  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(61, 100));
-  persist::PersistEngine engine{dir};
-  ASSERT_TRUE(engine.open().ok());
-  // Insert out of id order with distinct stored_at stamps.
-  ASSERT_TRUE(engine.append({"vp-b", 2}, "DEV",
-                            TimePoint::from_micros(2000), cc).ok());
-  ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV",
-                            TimePoint::from_micros(1000), cc).ok());
-  ASSERT_TRUE(engine.append({"vp-c", 3}, "DEV",
-                            TimePoint::from_micros(3000), cc).ok());
-
-  std::vector<CaptureId> seen;
-  engine.scan_catalog(TimePoint::from_micros(0), TimePoint::max(),
-                      [&](const persist::PersistEngine::EntryInfo& e) {
-                        seen.push_back(e.id);
-                      });
-  EXPECT_EQ(seen, (std::vector<CaptureId>{
-                      {"vp-a", 1}, {"vp-b", 2}, {"vp-c", 3}}));
-
-  // [t0, t1) half-open window on stored_at.
-  seen.clear();
-  engine.scan_catalog(TimePoint::from_micros(1000),
-                      TimePoint::from_micros(3000),
-                      [&](const persist::PersistEngine::EntryInfo& e) {
-                        seen.push_back(e.id);
-                      });
-  EXPECT_EQ(seen, (std::vector<CaptureId>{{"vp-a", 1}, {"vp-b", 2}}));
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -1186,7 +1153,8 @@ TEST(PersistEngine, RetentionDemotesThenErasesAndReclaimsBytes) {
 }
 
 // ------------------------------------------------------------------------
-// CaptureStore integration: archive-through, cold queries, source_of.
+// CaptureStore integration: archive-through, cold queries, source_of,
+// failed commits.
 // ------------------------------------------------------------------------
 
 TEST(PersistentStore, ColdQueriesAnswerIdenticallyAfterRestart) {
@@ -1198,7 +1166,7 @@ TEST(PersistentStore, ColdQueriesAnswerIdenticallyAfterRestart) {
     persist::PersistEngine engine{dir};
     ASSERT_TRUE(engine.open().ok());
     CaptureStore store;
-    store.attach_persistence(&engine);
+    store.attach_persistence(engine);
     id = store.append("vp-q", "DEV-9", original, TimePoint::epoch());
     auto range = store.range(id, TimePoint::epoch(), TimePoint::max());
     ASSERT_TRUE(range.ok());
@@ -1218,7 +1186,7 @@ TEST(PersistentStore, ColdQueriesAnswerIdenticallyAfterRestart) {
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   CaptureStore store;
-  store.attach_persistence(&engine);
+  store.attach_persistence(engine);
   EXPECT_TRUE(store.contains(id));
   EXPECT_EQ(store.find(id), nullptr);  // warm lookup misses
   auto src = store.source_of(id);
@@ -1256,7 +1224,7 @@ TEST(PersistentStore, SourceOfReportsTierAfterRawDrop) {
   persist::PersistEngine engine{dir};
   ASSERT_TRUE(engine.open().ok());
   CaptureStore store;
-  store.attach_persistence(&engine);
+  store.attach_persistence(engine);
   const CaptureId id =
       store.append("vp-t", "DEV", make_capture(43, 300), TimePoint::epoch());
   ASSERT_EQ(store.drop_workspace_raw("vp-t"), 1u);
@@ -1271,6 +1239,229 @@ TEST(PersistentStore, SourceOfReportsTierAfterRawDrop) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded.value().raw_available());
   EXPECT_FALSE(store.source_of({"vp-t", 999}).ok());
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistentStore, FailedAppendStaysQueryableUntilRestart) {
+  // An archive-through append whose manifest install fails keeps its
+  // in-memory record, listed and queryable, for this process's lifetime
+  // only: a restart does not know it.
+  const std::string dir = scratch_dir("failarchive");
+  const fs::path root{dir};
+  const Capture original = make_capture(49, 600);
+  CaptureId kept;
+  CaptureId lost;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    CaptureStore store;
+    store.attach_persistence(engine);
+    kept = store.append("vp-a", "DEV", original, TimePoint::epoch());
+    fs::create_directory(root / "manifest-2.tmp");
+    lost = store.append("vp-a", "DEV", original, TimePoint::epoch());
+    EXPECT_FALSE(engine.contains(lost));
+    EXPECT_EQ(store.list("vp-a"), (std::vector<CaptureId>{kept, lost}));
+    EXPECT_EQ(store.source_of(lost).value(), CaptureSource::kMemory);
+    const auto range = store.range(lost, TimePoint::epoch(), TimePoint::max());
+    ASSERT_TRUE(range.ok()) << range.error().str();
+    EXPECT_EQ(range.value().samples_ma(), original.samples_ma());
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(engine);
+  EXPECT_EQ(store.list("vp-a"), std::vector<CaptureId>{kept});
+  EXPECT_FALSE(store.contains(lost));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistentStore, FailedWorkspacePurgeChangesNothing) {
+  // A workspace purge whose manifest install fails (a directory squatting
+  // on manifest-<v+1>.tmp) purges nothing, in memory or on disk: it returns
+  // 0, the raw samples still answer, and a restart answers the same. The
+  // reopened store's purge then commits, without loading the capture.
+  const std::string dir = scratch_dir("failpurge");
+  const fs::path root{dir};
+  const Capture original = make_capture(48, 1200);
+  CaptureId id;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    CaptureStore store;
+    store.attach_persistence(engine);
+    id = store.append("vp-x", "DEV", original, TimePoint::epoch());
+    fs::create_directory(root / "manifest-2.tmp");
+    EXPECT_EQ(store.drop_workspace_raw("vp-x"), 0u);
+    EXPECT_EQ(store.stats().raw_purges, 0u);
+    EXPECT_EQ(store.source_of(id).value(), CaptureSource::kMemory);
+    const auto range = store.range(id, TimePoint::epoch(), TimePoint::max());
+    ASSERT_TRUE(range.ok()) << range.error().str();
+    EXPECT_EQ(range.value().samples_ma(), original.samples_ma());
+    EXPECT_FALSE(engine.info(id)->raw_dropped);
+  }
+  // open() collects the squatter along with any other .tmp leftover.
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(engine);
+  EXPECT_EQ(store.source_of(id).value(), CaptureSource::kDisk);
+  const auto range = store.range(id, TimePoint::epoch(), TimePoint::max());
+  ASSERT_TRUE(range.ok()) << range.error().str();
+  EXPECT_EQ(range.value().samples_ma(), original.samples_ma());
+
+  CaptureStore cold;
+  cold.attach_persistence(engine);
+  EXPECT_EQ(cold.drop_workspace_raw("vp-x"), 1u);
+  EXPECT_EQ(cold.source_of(id).value(), CaptureSource::kTier);
+  EXPECT_EQ(cold.stats().disk_loads, 0u);
+  EXPECT_TRUE(engine.info(id)->raw_dropped);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+/// Appends, through `store`, one capture past the summary TTL, one past the
+/// raw TTL and one inside both, as of `kRetentionAt`.
+constexpr Duration kRetentionAt = Duration::minutes(241);
+std::vector<CaptureId> append_retention_fixture(CaptureStore& store) {
+  std::vector<CaptureId> ids;
+  for (const auto& [workspace, minutes] :
+       {std::pair{"vp-old", 0}, {"vp-mid", 200}, {"vp-new", 230}}) {
+    ids.push_back(store.append(
+        workspace, "DEV", make_capture(51, 900),
+        TimePoint::epoch() + Duration::minutes(minutes)));
+  }
+  return ids;
+}
+
+TEST(PersistentStore, FailedRetentionPassChangesNothingAndTheNextRetries) {
+  // A retention pass whose manifest install fails returns 0 and moves
+  // neither the catalog, nor a source, nor the newest manifest. Once the
+  // squatter is gone the next pass erases one capture and drops the other's
+  // raw tier, in memory and on disk: one manifest for the pass, one for the
+  // checkpoint that demotes the drop.
+  const std::string dir = scratch_dir("failretention");
+  const fs::path root{dir};
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(engine);
+  const std::vector<CaptureId> ids = append_retention_fixture(store);
+  const CaptureId old = ids[0], mid = ids[1], fresh = ids[2];
+  const TimePoint now = TimePoint::epoch() + kRetentionAt;
+
+  const persist::Manifest manifest = newest_manifest(root);
+  const auto installs = engine.stats().manifest_installs;
+  fs::create_directory(root / "manifest-4.tmp");
+  EXPECT_EQ(store.run_retention(now), 0u);
+  EXPECT_EQ(store.list("vp-old"), std::vector<CaptureId>{old});
+  EXPECT_EQ(store.source_of(old).value(), CaptureSource::kMemory);
+  EXPECT_EQ(store.source_of(mid).value(), CaptureSource::kMemory);
+  EXPECT_EQ(store.stats().record_purges + store.stats().raw_purges, 0u);
+  EXPECT_EQ(engine.stats().manifest_installs, installs);
+  fs::remove(root / "manifest-4.tmp");
+  EXPECT_TRUE(newest_manifest(root) == manifest);
+
+  EXPECT_EQ(store.run_retention(now), 2u);
+  EXPECT_EQ(engine.stats().manifest_installs, installs + 2);
+  EXPECT_FALSE(store.contains(old));
+  EXPECT_EQ(store.source_of(mid).value(), CaptureSource::kTier);
+  EXPECT_EQ(store.source_of(fresh).value(), CaptureSource::kMemory);
+  EXPECT_EQ(files_with_prefix(dir, "seg-"),
+            (std::vector<std::string>{"seg-r-3.blsg", "seg-s-4.blsg"}));
+  EXPECT_EQ(store.run_retention(now), 0u);  // nothing left to do
+
+  persist::PersistEngine reopened{dir};
+  ASSERT_TRUE(reopened.open().ok());
+  CaptureStore restarted;
+  restarted.attach_persistence(reopened);
+  EXPECT_EQ(restarted.catalog(TimePoint::epoch(), TimePoint::max()),
+            (std::vector<CaptureId>{mid, fresh}));
+  EXPECT_EQ(restarted.source_of(mid).value(), CaptureSource::kTier);
+  EXPECT_EQ(restarted.source_of(fresh).value(), CaptureSource::kDisk);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistentStore, ReopenedStoreCatalogsColdRecordsWithoutLoading) {
+  // A reopened store lists, catalogs and counts every recovered capture
+  // before any query, and answers source_of from the manifest's tier,
+  // without reading a segment.
+  const std::string dir = scratch_dir("reopen");
+  const Capture original = make_capture(52, 600);
+  std::vector<CaptureId> ids;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    CaptureStore store;
+    store.attach_persistence(engine);
+    for (const auto& [workspace, minutes] :
+         {std::pair{"vp-a", 1}, {"vp-b", 2}, {"vp-a", 3}}) {
+      ids.push_back(store.append(workspace,
+                                 "DEV-" + std::to_string(minutes), original,
+                                 TimePoint::epoch() +
+                                     Duration::minutes(minutes)));
+    }
+    ASSERT_EQ(store.drop_workspace_raw("vp-b"), 1u);
+  }
+  const CaptureId a1 = ids[0], b2 = ids[1], a3 = ids[2];
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  blab::obs::MetricsRegistry registry;
+  CaptureStore store;
+  store.attach_metrics(&registry);
+  store.attach_persistence(engine);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(registry.snapshot().value_or("blab_store_records"), 3.0);
+  EXPECT_EQ(store.workspaces(), (std::vector<std::string>{"vp-a", "vp-b"}));
+  EXPECT_EQ(store.list("vp-a"), (std::vector<CaptureId>{a1, a3}));
+  EXPECT_EQ(store.list("vp-b"), std::vector<CaptureId>{b2});
+  EXPECT_EQ(store.catalog(TimePoint::epoch(), TimePoint::max()),
+            (std::vector<CaptureId>{a1, a3, b2}));
+  EXPECT_EQ(store.catalog(TimePoint::epoch() + Duration::minutes(2),
+                          TimePoint::max()),
+            (std::vector<CaptureId>{a3, b2}));
+  EXPECT_EQ(store.name_of(a3).value_or(""), "DEV-3");
+  EXPECT_EQ(store.source_of(a1).value(), CaptureSource::kDisk);
+  EXPECT_EQ(store.source_of(b2).value(), CaptureSource::kTier);
+  EXPECT_EQ(store.find(a1), nullptr);
+  EXPECT_EQ(store.stats().disk_loads, 0u);
+  EXPECT_EQ(engine.stats().disk_loads, 0u);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistentStore, RetentionOverColdRecordsInstallsOneManifest) {
+  // One retention pass over a reopened store, none of whose records was
+  // ever loaded, erases one and drops another's raw tier with one manifest
+  // install, plus one for its checkpoint's demotion, and loads nothing.
+  const std::string dir = scratch_dir("coldretention");
+  std::vector<CaptureId> ids;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    CaptureStore store;
+    store.attach_persistence(engine);
+    ids = append_retention_fixture(store);
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(engine);
+  EXPECT_EQ(store.run_retention(TimePoint::epoch() + kRetentionAt), 2u);
+  EXPECT_EQ(engine.stats().manifest_installs, 2u);
+  EXPECT_EQ(engine.stats().checkpoints_by_cause[static_cast<std::size_t>(
+                persist::CheckpointCause::kRetention)],
+            1u);
+  EXPECT_EQ(store.stats().record_purges, 1u);
+  EXPECT_EQ(store.stats().raw_purges, 1u);
+  EXPECT_EQ(store.stats().disk_loads, 0u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(engine.contains(ids[0]));
+  EXPECT_TRUE(engine.info(ids[1])->raw_dropped);
+  EXPECT_EQ(store.source_of(ids[1]).value(), CaptureSource::kTier);
+  EXPECT_EQ(store.source_of(ids[2]).value(), CaptureSource::kDisk);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
