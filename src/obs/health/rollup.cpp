@@ -12,13 +12,15 @@ namespace blab::health {
 
 namespace {
 
-/// Mutable accumulator behind one RollupGroup; quantiles pool per-capture
-/// tier samples and are reduced at the end.
+/// Mutable accumulator behind one RollupGroup; the tail quantiles are
+/// selected at the end from the group's pooled distribution points.
 struct GroupAcc {
   RollupGroup group;
-  util::Cdf pooled;
+  std::vector<double> pooled;
   bool has_range = false;
 };
+
+constexpr double kTailQuantiles[] = {0.95, 0.99};
 
 }  // namespace
 
@@ -100,11 +102,9 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
     slice.samples += s.samples;
     slice.energy_mwh += s.energy_mwh;
 
-    // Tail quantiles pool each capture's finest surviving tier; a capture
-    // reduced past its tiers simply contributes nothing to the pool.
-    if (auto cdf = store_.percentiles(id); cdf.ok()) {
-      acc.pooled.add_all(cdf.value().samples());
-    }
+    // Tail quantiles pool each capture's distribution points, the samples
+    // of its percentiles(); a capture whose read fails adds none.
+    (void)store_.append_distribution(id, acc.pooled);
     ++out.captures_scanned;
   }
 
@@ -114,8 +114,9 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
     g.key = key;
     if (g.samples > 0) g.mean_ma /= static_cast<double>(g.samples);
     if (!acc.pooled.empty()) {
-      g.p95_ma = acc.pooled.quantile(0.95);
-      g.p99_ma = acc.pooled.quantile(0.99);
+      const auto tail = util::select_quantiles(acc.pooled, kTailQuantiles);
+      g.p95_ma = tail[0];
+      g.p99_ma = tail[1];
     }
     out.groups.push_back(std::move(g));
   }

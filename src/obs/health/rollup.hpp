@@ -5,15 +5,20 @@
 // store's warm and cold records, filtered by stored_at — reduced
 // group-by-group from chunk-footer summaries. Nothing here decodes raw
 // samples: energy, charge and mean come from CaptureStore::summary()
-// (footer sums), and the tail quantiles pool each capture's surviving-tier
-// bucket means through CaptureStore::percentiles(). Cold records are warmed
-// transparently by the store's existing cold path, so a rollup right after
-// recovery sees exactly what a rollup before the crash saw.
+// (footer sums), and each group's tail quantiles come from one buffer that
+// pools its captures' distribution points (CaptureStore::
+// append_distribution, the finest surviving tier's bucket means), from
+// which util::select_quantiles selects p95 and p99 instead of sorting it.
+// Cold records are warmed transparently by the store's existing cold path,
+// so a rollup right after recovery sees exactly what a rollup before the
+// crash saw.
 //
 // Determinism contract (the DST rollup oracle leans on this): captures are
 // folded in ascending CaptureId order with plain double accumulation, so a
 // rollup of the same catalog is bit-identical across runs — and equals the
-// oracle's own sum over per-capture energies computed the same way.
+// oracle's own sum over per-capture energies computed the same way. p95 and
+// p99 carry the bits util::Cdf::quantile gives over the group's pooled
+// CaptureStore::percentiles(); the oracle checks the fleet group's too.
 #pragma once
 
 #include <cstdint>

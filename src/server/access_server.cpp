@@ -1,5 +1,7 @@
 #include "server/access_server.hpp"
 
+#include <limits>
+
 #include "device/device.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -107,24 +109,27 @@ util::Status AccessServer::enable_health() {
           }
           scope = *parsed;
         }
+        // A bound is unsigned microseconds that fit a TimePoint: a value
+        // above INT64_MAX would wrap negative, not widen the window.
+        const auto bound = [&](const std::string& name,
+                               util::TimePoint& out) -> util::Status {
+          const auto it = params.find(name);
+          if (it == params.end()) return util::Status::ok_status();
+          const auto us = util::parse_u64(it->second);
+          if (!us.has_value() ||
+              *us > static_cast<std::uint64_t>(
+                        std::numeric_limits<std::int64_t>::max())) {
+            return util::make_error(
+                util::ErrorCode::kInvalidArgument,
+                name + " must be unsigned microseconds up to INT64_MAX");
+          }
+          out = util::TimePoint::from_micros(static_cast<std::int64_t>(*us));
+          return util::Status::ok_status();
+        };
         auto t0 = util::TimePoint::epoch();
         auto t1 = util::TimePoint::max();
-        if (const auto it = params.find("t0_us"); it != params.end()) {
-          const auto us = util::parse_u64(it->second);
-          if (!us.has_value()) {
-            return util::make_error(util::ErrorCode::kInvalidArgument,
-                                    "t0_us must be unsigned microseconds");
-          }
-          t0 = util::TimePoint::from_micros(static_cast<std::int64_t>(*us));
-        }
-        if (const auto it = params.find("t1_us"); it != params.end()) {
-          const auto us = util::parse_u64(it->second);
-          if (!us.has_value()) {
-            return util::make_error(util::ErrorCode::kInvalidArgument,
-                                    "t1_us must be unsigned microseconds");
-          }
-          t1 = util::TimePoint::from_micros(static_cast<std::int64_t>(*us));
-        }
+        if (auto st = bound("t0_us", t0); !st.ok()) return st.error();
+        if (auto st = bound("t1_us", t1); !st.ok()) return st.error();
         return health::encode_rollup_json(rollup_->compute(scope, t0, t1));
       });
   health_rest_->register_endpoint(

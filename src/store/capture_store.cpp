@@ -357,26 +357,33 @@ util::Result<std::vector<AggregateBucket>> CaptureStore::aggregate(
 }
 
 util::Result<util::Cdf> CaptureStore::percentiles(const CaptureId& id) {
+  std::vector<double> points;
+  if (auto st = append_distribution(id, points); !st.ok()) return st.error();
+  return util::Cdf{std::move(points)};
+}
+
+util::Status CaptureStore::append_distribution(const CaptureId& id,
+                                               std::vector<double>& out) {
   const Record* record = warm_record(id);
   if (record == nullptr) return not_found(id);
   const ChunkedCapture& cc = *record->capture;
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
-  util::Cdf cdf;
-  const Tier* tier = cc.finest_tier();
-  if (tier != nullptr) {
-    for (float v : tier->mean_ma) cdf.add(static_cast<double>(v));
-    return cdf;
+  if (const Tier* tier = cc.finest_tier(); tier != nullptr) {
+    // One ranged insert: one allocation into an empty buffer, geometric
+    // growth into a pool.
+    out.insert(out.end(), tier->mean_ma.begin(), tier->mean_ma.end());
+    return util::Status::ok_status();
   }
-  // Short captures may have no tier (fewer samples than the finest factor);
-  // footers still give one point per chunk.
+  // A capture sampled too slowly to downsample (about 1 Hz or less) has no
+  // tier; its footers still give one point per chunk.
   for (std::size_t chunk = 0; chunk < cc.chunk_count(); ++chunk) {
     const ChunkFooter& footer = cc.footer(chunk);
     if (footer.count > 0) {
-      cdf.add(footer.sum_ma / static_cast<double>(footer.count));
+      out.push_back(footer.sum_ma / static_cast<double>(footer.count));
     }
   }
-  return cdf;
+  return util::Status::ok_status();
 }
 
 util::Result<double> CaptureStore::energy_mwh(const CaptureId& id) {

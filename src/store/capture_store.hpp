@@ -146,9 +146,17 @@ class CaptureStore {
   /// the capture). Never decodes raw chunks.
   util::Result<std::vector<AggregateBucket>> aggregate(const CaptureId& id,
                                                        util::Duration window);
-  /// Current distribution from the finest surviving tier's bucket means.
+  /// Current distribution: a Cdf over append_distribution()'s points.
   /// Never decodes raw chunks.
   util::Result<util::Cdf> percentiles(const CaptureId& id);
+  /// Appends the capture's distribution points to `out`: the finest
+  /// surviving tier's bucket means, or one footer mean per chunk for a
+  /// capture sampled too slowly to have a tier (about 1 Hz or less). Counts
+  /// one tier query and appends nothing on failure. Lets a caller pool many
+  /// captures into one buffer it owns (the rollup engine) without a Cdf per
+  /// capture. Never decodes raw chunks.
+  util::Status append_distribution(const CaptureId& id,
+                                   std::vector<double>& out);
   /// Integrated energy in mWh, from chunk footers alone.
   util::Result<double> energy_mwh(const CaptureId& id);
   /// Mean current in mA, from chunk footers alone.

@@ -1,12 +1,14 @@
 #include "testing/oracles.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace blab::testing {
@@ -575,12 +577,14 @@ class RollupAccuracyOracle : public InvariantOracle {
 
     // Independent fold over the catalog, in the engine's documented order
     // and arithmetic (ascending CaptureId, plain double accumulation) — the
-    // fleet rollup must reproduce it EXACTLY, no tolerance.
+    // fleet rollup must reproduce it EXACTLY, no tolerance. The tail
+    // quantiles' reference is the sort: a Cdf over the pooled percentiles().
     double energy = 0.0;
     double charge = 0.0;
     double mean_acc = 0.0;
     std::uint64_t samples = 0;
     std::size_t captures = 0;
+    std::vector<double> pooled;
     for (const store::CaptureId& id :
          store.catalog(util::TimePoint::epoch(), util::TimePoint::max())) {
       const auto summary = store.summary(id);
@@ -591,6 +595,10 @@ class RollupAccuracyOracle : public InvariantOracle {
       mean_acc += s.mean_ma * static_cast<double>(s.samples);
       samples += s.samples;
       ++captures;
+      if (const auto cdf = store.percentiles(id); cdf.ok()) {
+        const std::vector<double>& points = cdf.value().samples();
+        pooled.insert(pooled.end(), points.begin(), points.end());
+      }
       // Chain to ground truth: the summary's energy must be exactly the
       // store's canonical footer integral (warm and cold paths agree); that
       // integral's physical accuracy against the relay board's analytic
@@ -630,6 +638,19 @@ class RollupAccuracyOracle : public InvariantOracle {
     exact("energy_mwh", g.energy_mwh, energy);
     exact("charge_mah", g.charge_mah, charge);
     exact("mean_ma", g.mean_ma, mean);
+    const util::Cdf tail{std::move(pooled)};
+    const auto same_bits = [&](const char* field, double got, double want) {
+      if (std::bit_cast<std::uint64_t>(got) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        // 17 decimals, so that values a few ulps apart print apart.
+        out.push_back({name(), std::string{"fleet rollup "} + field + " " +
+                                   util::format_double(got, 17) +
+                                   " is not the sorted pool's " +
+                                   util::format_double(want, 17)});
+      }
+    };
+    same_bits("p95_ma", g.p95_ma, tail.empty() ? 0.0 : tail.quantile(0.95));
+    same_bits("p99_ma", g.p99_ma, tail.empty() ? 0.0 : tail.quantile(0.99));
     if (g.samples != samples || g.captures != captures) {
       out.push_back({name(), "fleet rollup counts diverge: " +
                                  std::to_string(g.captures) + "/" +

@@ -44,9 +44,11 @@
 //   rollup-accuracy      when the fleet health engine is enabled, the fleet
 //                        rollup reproduces an independent ascending-id fold
 //                        over the persisted catalog exactly (energy, charge,
-//                        mean, counts), each capture's summary energy equals
-//                        the store's footer integral bit-for-bit, and the
-//                        job/vantage scopes partition the fleet
+//                        mean, counts), its p95/p99 carry the bits of a
+//                        sorted Cdf over the pooled percentiles(), each
+//                        capture's summary energy equals the store's footer
+//                        integral bit-for-bit, and the job/vantage scopes
+//                        partition the fleet
 #pragma once
 
 #include <memory>

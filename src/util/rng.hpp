@@ -63,10 +63,11 @@ class Rng {
  private:
   /// Cold path for the ~1.1% of ziggurat draws that fall outside the
   /// all-rectangle fast accept: the wedge test for layers 1..255 and the
-  /// Marsaglia exponential-rejection tail for layer 0. Returns true with the
+  /// Marsaglia exponential-rejection tail for layer 0. Bit 8 of `draw`, the
+  /// u64 that picked the layer, signs the sample. Returns true with the
   /// sample in `out`, or false when the wedge rejects and the caller must
   /// redraw.
-  bool normal_edge(unsigned layer, double x, bool negative, double& out);
+  bool normal_edge(unsigned layer, double x, std::uint64_t draw, double& out);
 
   std::uint64_t s_[4];
 };

@@ -4,8 +4,28 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace blab::util {
+
+namespace {
+
+/// The one quantile rule behind Cdf::quantile and select_quantiles: rank
+/// pos = q * (n - 1) lies between the order statistics lo = floor(pos) and
+/// hi = min(lo + 1, n - 1), and the quantile interpolates linearly between
+/// them. `order_stats(lo, hi)` returns that pair of values.
+template <typename OrderStats>
+double quantile_at_rank(double q, std::size_t n, OrderStats&& order_stats) {
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  const auto [a, b] = order_stats(lo, hi);
+  return a * (1.0 - frac) + b * frac;
+}
+
+}  // namespace
 
 void RunningStats::add(double x) {
   if (n_ == 0) {
@@ -51,11 +71,6 @@ void Cdf::add(double x) {
   sorted_ = false;
 }
 
-void Cdf::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_ = false;
-}
-
 void Cdf::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -66,12 +81,34 @@ void Cdf::ensure_sorted() const {
 double Cdf::quantile(double q) const {
   if (samples_.empty()) throw std::logic_error{"quantile of empty Cdf"};
   ensure_sorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return quantile_at_rank(q, samples_.size(),
+                          [&](std::size_t lo, std::size_t hi) {
+                            return std::pair{samples_[lo], samples_[hi]};
+                          });
+}
+
+std::vector<double> select_quantiles(std::vector<double>& values,
+                                     std::span<const double> qs) {
+  if (values.empty()) throw std::logic_error{"quantile of empty sample set"};
+  std::vector<double> out;
+  out.reserve(qs.size());
+  // Everything before `first` is no greater than anything from it on.
+  auto first = values.begin();
+  for (const double q : qs) {
+    out.push_back(quantile_at_rank(
+        q, values.size(), [&](std::size_t lo, std::size_t hi) {
+          const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+          if (nth < first) {
+            throw std::logic_error{"select_quantiles needs ascending qs"};
+          }
+          std::nth_element(first, nth, values.end());
+          first = nth;
+          const double upper =
+              hi == lo ? *nth : *std::min_element(nth + 1, values.end());
+          return std::pair{*nth, upper};
+        }));
+  }
+  return out;
 }
 
 double Cdf::mean() const {

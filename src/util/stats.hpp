@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,6 @@ class Cdf {
   explicit Cdf(std::vector<double> samples);
 
   void add(double x);
-  void add_all(const std::vector<double>& xs);
   /// Pre-size the sample buffer when the count is known (capture CDFs).
   void reserve(std::size_t n) { samples_.reserve(n); }
 
@@ -91,6 +91,20 @@ class Cdf {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
+
+/// Cdf{values}.quantile(q) for each of the ascending quantiles `qs`, found
+/// by selection instead of a sort: std::nth_element places the lower order
+/// statistic of the quantile's rank, and the upper one is the least value
+/// of the partition above it. Each quantile is selected inside the upper
+/// partition the one before it left, so p99 after p95 searches the top 5%
+/// only. The rank and interpolation rule is Cdf::quantile's own, so each
+/// result has the sort's bits for NaN-free values (a pool that mixes -0.0
+/// and +0.0 may differ in the sign of a zero result). A free function on a
+/// buffer the caller owns, not a Cdf method: it permutes `values`, while
+/// Cdf::mean() sums in storage order. Throws std::logic_error if `values` is
+/// empty or `qs` is not ascending.
+std::vector<double> select_quantiles(std::vector<double>& values,
+                                     std::span<const double> qs);
 
 /// Fixed-width histogram over [lo, hi).
 class Histogram {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -91,6 +94,58 @@ TEST(Rollup, FleetScopeFoldsEveryCaptureIntoOneGroup) {
   EXPECT_GT(g.p95_ma, 0.0);
   EXPECT_GE(g.p99_ma, g.p95_ma);
   EXPECT_GE(g.max_ma, g.min_ma);
+}
+
+TEST(Rollup, TailQuantilesAreTheSortedPoolBitForBit) {
+  // Each group's p95/p99 must carry the bits of a sorting Cdf over its
+  // captures' pooled percentiles(), in every scope. One capture is sampled
+  // at 1 Hz, too slowly for any tier, so it pools one footer mean per chunk.
+  CaptureStore store;
+  (void)store.append("job-a", "m0", make_capture(21, 6000),
+                     TimePoint::epoch());
+  (void)store.append("job-a", "m1", make_capture(22, 20000, 900.0),
+                     TimePoint::epoch());
+  (void)store.append("job-b", "m2", make_capture(23, 50), TimePoint::epoch());
+  const Capture slow{TimePoint::epoch(), 1.0, 3.85,
+                     make_capture(24, 9000).samples_ma()};
+  const auto tierless = store.append("job-c", "m3", slow, TimePoint::epoch());
+  ASSERT_NE(store.find(tierless), nullptr);
+  ASSERT_TRUE(store.find(tierless)->tiers().empty());
+  ASSERT_EQ(store.percentiles(tierless).value().count(),
+            store.find(tierless)->chunk_count());
+
+  RollupEngine engine{store};
+  engine.set_context_resolver([](const std::string& workspace) {
+    CaptureContext ctx;
+    ctx.vantage = workspace == "job-a" ? "node-eu" : "node-us";
+    return ctx;
+  });
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const RollupScope scope :
+       {RollupScope::kFleet, RollupScope::kJob, RollupScope::kVantage}) {
+    std::map<std::string, std::vector<double>> pools;
+    for (const auto& id : store.catalog(TimePoint::epoch(), TimePoint::max())) {
+      const std::string key = scope == RollupScope::kFleet ? "fleet"
+                              : scope == RollupScope::kJob
+                                  ? id.workspace
+                                  : (id.workspace == "job-a" ? "node-eu"
+                                                             : "node-us");
+      const auto cdf = store.percentiles(id);
+      ASSERT_TRUE(cdf.ok());
+      const std::vector<double>& points = cdf.value().samples();
+      pools[key].insert(pools[key].end(), points.begin(), points.end());
+    }
+    const Rollup rollup = engine.compute(scope);
+    ASSERT_EQ(rollup.groups.size(), pools.size());
+    for (const auto& g : rollup.groups) {
+      ASSERT_EQ(pools.count(g.key), 1u) << g.key;
+      const blab::util::Cdf reference{pools.at(g.key)};
+      EXPECT_EQ(bits(g.p95_ma), bits(reference.quantile(0.95)))
+          << blab::health::rollup_scope_name(scope) << " " << g.key;
+      EXPECT_EQ(bits(g.p99_ma), bits(reference.quantile(0.99)))
+          << blab::health::rollup_scope_name(scope) << " " << g.key;
+    }
+  }
 }
 
 TEST(Rollup, JobScopeGroupsByWorkspaceAscending) {
@@ -450,6 +505,11 @@ TEST(HealthRest, EnableHealthServesRollupAndHealthEndpoints) {
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(rest->call("rollup", "t1_us=-5").error().code,
             ErrorCode::kInvalidArgument);
+  // 2^63 does not fit a TimePoint; it must not wrap to INT64_MIN.
+  const auto wrapped = rest->call("rollup", "t1_us=9223372036854775808");
+  ASSERT_FALSE(wrapped.ok()) << wrapped.value();
+  EXPECT_EQ(wrapped.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(rest->call("rollup", "t1_us=9223372036854775807").ok());
 }
 
 TEST(HealthRest, SchedulingRequiresTheMatchingEngine) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -433,6 +434,55 @@ TEST(CdfTest, CurveIsMonotonic) {
 TEST(CdfTest, QuantileOfEmptyThrows) {
   Cdf cdf;
   EXPECT_THROW((void)cdf.quantile(0.5), std::logic_error);
+}
+
+// select_quantiles is the rollup's p95/p99: it must return the bits the
+// sorting Cdf::quantile returns, for every rank, with duplicates straddling
+// the rank, and when a later quantile is selected inside the partition an
+// earlier one left.
+TEST(SelectQuantilesTest, MatchesCdfQuantileBitForBit) {
+  const std::vector<std::vector<double>> quantile_sets{
+      {0.0}, {0.5}, {0.95}, {0.99}, {1.0}, {0.95, 0.99},
+      {0.0, 0.5, 0.95, 0.99, 1.0}};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng{0x5E1EC7};
+  std::vector<std::size_t> sizes{1, 2, 3};
+  for (int i = 0; i < 300; ++i) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniform_int(1, 3000)));
+  }
+  for (std::size_t v = 0; v < sizes.size(); ++v) {
+    const std::size_t n = sizes[v];
+    // Alternate continuous data with a handful of distinct values, so
+    // heavy duplicates sit on both sides of every rank.
+    const std::int64_t distinct = v % 2 == 0 ? 0 : rng.uniform_int(1, 6);
+    std::vector<double> data(n);
+    for (double& x : data) {
+      x = distinct == 0
+              ? rng.lognormal_median(300.0, 0.8)
+              : 100.0 * static_cast<double>(rng.uniform_int(0, distinct));
+    }
+    const Cdf reference{data};
+    for (const std::vector<double>& qs : quantile_sets) {
+      std::vector<double> buffer = data;
+      const std::vector<double> got = select_quantiles(buffer, qs);
+      ASSERT_EQ(got.size(), qs.size());
+      for (std::size_t k = 0; k < qs.size(); ++k) {
+        ASSERT_EQ(bits(got[k]), bits(reference.quantile(qs[k])))
+            << "n=" << n << " q=" << qs[k] << " (quantile " << k + 1
+            << " of " << qs.size() << ")";
+      }
+    }
+  }
+}
+
+TEST(SelectQuantilesTest, RejectsEmptyValuesAndDescendingQuantiles) {
+  std::vector<double> empty;
+  EXPECT_THROW((void)select_quantiles(empty, std::vector<double>{0.5}),
+               std::logic_error);
+  std::vector<double> values{5.0, 1.0, 4.0, 2.0, 3.0};
+  EXPECT_THROW(
+      (void)select_quantiles(values, std::vector<double>{0.99, 0.5}),
+      std::logic_error);
 }
 
 TEST(HistogramTest, BinningAndOverflow) {
