@@ -7,14 +7,17 @@
 //   1: structured sample round-trip — arbitrary bit patterns encode, decode
 //      bit-exactly, and decoding with the wrong count must fail;
 //   2: arbitrary bytes through ChunkedCapture::deserialize; accepted
-//      captures must re-serialize byte-identically, answer every footer
-//      query without crashing, and rebuild a summary image (drop_raw, and
-//      summary_image straight from the bytes, which must agree) that parses
-//      back with the same footers and tiers;
+//      captures must re-serialize byte-identically, follow the layout encode
+//      emits (full chunks but the last, the tier ladder encode derives from
+//      the header), answer every footer query without crashing, decode any
+//      chunk range as that slice of decode(), and rebuild a summary image
+//      (drop_raw, and summary_image straight from the bytes, which must
+//      agree) that parses back with the same footers and tiers;
 //   3: encode a valid capture — its image, raw and purged, must equal the
 //      four-pass reference encoder's byte for byte — then corrupt one byte
 //      and deserialize: must either reject or stay internally consistent,
 //      never crash.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -28,7 +31,10 @@
 
 namespace {
 
-void exercise_queries(const blab::store::ChunkedCapture& cc) {
+/// Footer queries, each chunk on its own, and chunks [first, last) for a
+/// range `pick` chooses, which must equal that slice of decode().
+void exercise_queries(const blab::store::ChunkedCapture& cc,
+                      std::size_t pick) {
   (void)cc.sum_ma();
   (void)cc.mean_ma();
   (void)cc.min_ma();
@@ -37,13 +43,52 @@ void exercise_queries(const blab::store::ChunkedCapture& cc) {
   (void)cc.energy_mwh();
   (void)cc.byte_size();
   (void)cc.duration();
-  (void)cc.coarsest_tier_with(1);
-  for (std::size_t i = 0; i < cc.chunk_count(); ++i) {
+  const std::size_t chunks = cc.chunk_count();
+  for (std::size_t i = 0; i < chunks; ++i) {
     const auto& footer = cc.footer(i);
     FUZZ_ASSERT(std::isfinite(footer.sum_ma));
-    (void)cc.decode_chunk(i);  // ok or typed error, never UB
+    std::vector<float> one;
+    (void)cc.decode_chunks(i, i + 1, one);  // ok or typed error, never UB
   }
-  (void)cc.decode();
+  const std::size_t first = pick % (chunks + 1);
+  const std::size_t last = first + pick / (chunks + 1) % (chunks + 1 - first);
+  std::vector<float> part;
+  const auto ranged = cc.decode_chunks(first, last, part);
+  const auto whole = cc.decode();
+  if (whole.ok()) {
+    FUZZ_ASSERT(ranged.ok());
+    const std::vector<float>& all = whole.value().samples_ma();
+    const std::size_t offset = first * cc.chunk_samples();
+    FUZZ_ASSERT(part.size() <= all.size() - std::min(offset, all.size()));
+    FUZZ_ASSERT(part.empty() || std::memcmp(part.data(), all.data() + offset,
+                                            part.size() * sizeof(float)) == 0);
+  }
+}
+
+/// The layout rule deserialize enforces: every chunk holds chunk_samples
+/// samples but the last, which holds the rest, and the tiers are the ladder
+/// encode derives from the sample rate (one sample shows its factors and
+/// rates), each with ceil(samples / factor) buckets.
+void check_layout(const blab::store::ChunkedCapture& cc) {
+  const std::size_t n = cc.sample_count();
+  const std::size_t cs = cc.chunk_samples();
+  FUZZ_ASSERT(cc.chunk_count() == n / cs + (n % cs != 0 ? 1 : 0));
+  for (std::size_t i = 0; i < cc.chunk_count(); ++i) {
+    FUZZ_ASSERT(cc.footer(i).count == std::min(cs, n - i * cs));
+  }
+  const auto ladder =
+      blab::store::ChunkedCapture::encode(
+          blab::hw::Capture{cc.start(), cc.sample_hz(), cc.voltage(), {0.0f}})
+          .tiers();
+  FUZZ_ASSERT(cc.tiers().size() == (n == 0 ? 0 : ladder.size()));
+  for (std::size_t t = 0; t < cc.tiers().size(); ++t) {
+    const blab::store::Tier& tier = cc.tiers()[t];
+    FUZZ_ASSERT(tier.factor == ladder[t].factor);
+    FUZZ_ASSERT(std::bit_cast<std::uint64_t>(tier.rate_hz) ==
+                std::bit_cast<std::uint64_t>(ladder[t].rate_hz));
+    FUZZ_ASSERT(tier.buckets() ==
+                n / tier.factor + (n % tier.factor != 0 ? 1 : 0));
+  }
 }
 
 /// Field-wise bit equality (NaN footers compare equal to themselves).
@@ -104,7 +149,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       const auto result = blab::store::ChunkedCapture::deserialize(bytes);
       if (result.ok()) {
         FUZZ_ASSERT(result.value().serialize() == bytes);
-        exercise_queries(result.value());
+        check_layout(result.value());
+        exercise_queries(result.value(), bytes.size());
         blab::store::ChunkedCapture summary = result.value();
         summary.drop_raw();
         const auto direct = blab::store::ChunkedCapture::summary_image(bytes);
@@ -159,7 +205,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         if (tampered.ok()) {
           // Corruption that still parses must stay internally consistent.
           FUZZ_ASSERT(tampered.value().serialize() == bytes);
-          exercise_queries(tampered.value());
+          exercise_queries(tampered.value(), flip_pos);
         }
       }
       break;

@@ -31,7 +31,10 @@ Re-pin mode (deliberate baseline updates only):
 improved by at least its stated factor over the old pin. A re-pin that
 cannot demonstrate its claimed win is a no-op with a non-zero exit: the
 point of the pin is that it only ever moves on purpose, with the
-justification recorded in the artifact's note.
+justification recorded in the artifact's note. Only the --require metrics
+move: each takes this run's reading as its baseline and keeps its old pin as
+pre_pr. Every other pin stays as it was, since one run on a loaded host can
+read well below pins it never meant to touch.
 """
 
 import argparse
@@ -105,7 +108,10 @@ def parse_requirement(spec):
 
 
 def repin_baseline(baseline, current, requirements, note):
-    """Build the replacement baseline, or return (None, failures)."""
+    """Build the replacement baseline, or return (None, failures).
+
+    Moves only the required metrics; every other entry is kept as it is.
+    """
     failures = []
     for name, factor in requirements:
         pinned = baseline["metrics"].get(name)
@@ -124,20 +130,16 @@ def repin_baseline(baseline, current, requirements, note):
             )
     if failures:
         return None, failures
-    metrics = {}
-    for name, pinned in baseline["metrics"].items():
-        got = current.get(name)
-        if got is None:
-            failures.append(f"{name}: no measurement produced")
-            continue
+    metrics = dict(baseline["metrics"])
+    for name, _ in requirements:
         # Keep three significant figures: the pin documents a magnitude on a
         # reference machine, not a nanosecond-exact number.
-        metrics[name] = {
-            "baseline": float(f"{got:.3g}"),
-            "pre_pr": pinned["baseline"],
-        }
-    if failures:
-        return None, failures
+        pinned = baseline["metrics"][name]
+        metrics[name] = dict(
+            pinned,
+            baseline=float(f"{current[name]:.3g}"),
+            pre_pr=pinned["baseline"],
+        )
     new_baseline = dict(baseline)
     new_baseline["metrics"] = metrics
     new_baseline["pinned_date"] = datetime.date.today().isoformat()
@@ -159,7 +161,7 @@ def main():
     parser.add_argument(
         "--repin",
         action="store_true",
-        help="rewrite the pinned baseline from this run's measurements",
+        help="re-pin the --require metrics from this run's measurements",
     )
     parser.add_argument(
         "--repin-out",

@@ -179,19 +179,26 @@ class GateTest(unittest.TestCase):
         baseline = self.tmp / "BENCH_core.json"
         shutil.copyfile(BASELINE, baseline)
         rates = {name: 2.0246912 * pin for name, pin in self.pins.items()}
+        required = "store_synth_samples_per_s"
         proc, _ = self.gate(
             self.write_results(rates), "--repin",
-            "--require", "store_synth_samples_per_s=1.8",
+            "--require", f"{required}=1.8",
             "--note", "fixture re-pin", baseline=baseline)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         repinned = json.loads(baseline.read_text())
         self.assertEqual(repinned["note"], "fixture re-pin")
         self.assertEqual(repinned["floor_fraction"], self.floor)
-        self.assertEqual(set(repinned["metrics"]), set(self.pins))
+        self.assertEqual(list(repinned["metrics"]),
+                         list(self.baseline["metrics"]))
+        self.assertEqual(repinned["metrics"][required], {
+            "baseline": float(f"{rates[required]:.3g}"),
+            "pre_pr": self.pins[required],
+        })
+        # Every metric the re-pin did not name keeps both of its values,
+        # although this run read each of them at twice its pin.
         for name, metric in repinned["metrics"].items():
-            self.assertEqual(metric["pre_pr"], self.pins[name], name)
-            self.assertEqual(metric["baseline"], float(f"{rates[name]:.3g}"),
-                             name)
+            if name != required:
+                self.assertEqual(metric, self.baseline["metrics"][name], name)
 
 
 if __name__ == "__main__":

@@ -57,8 +57,6 @@ void CaptureStore::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_.bytes_raw = &m.counter("blab_store_bytes_raw_total");
   metrics_.bytes_encoded = &m.counter("blab_store_bytes_encoded_total");
   metrics_.decodes = &m.counter("blab_store_chunk_decodes_total");
-  metrics_.cache_hits = &m.counter("blab_store_cache_hits_total");
-  metrics_.cache_evictions = &m.counter("blab_store_cache_evictions_total");
   metrics_.raw_purges = &m.counter("blab_store_raw_purges_total");
   metrics_.record_purges = &m.counter("blab_store_record_purges_total");
   metrics_.tier_queries = &m.counter("blab_store_tier_queries_total");
@@ -70,8 +68,6 @@ void CaptureStore::attach_metrics(obs::MetricsRegistry* registry) {
   bump(metrics_.bytes_raw, stats_.bytes_raw);
   bump(metrics_.bytes_encoded, stats_.bytes_encoded);
   bump(metrics_.decodes, stats_.raw_chunk_decodes);
-  bump(metrics_.cache_hits, stats_.cache_hits);
-  bump(metrics_.cache_evictions, stats_.cache_evictions);
   bump(metrics_.raw_purges, stats_.raw_purges);
   bump(metrics_.record_purges, stats_.record_purges);
   bump(metrics_.tier_queries, stats_.tier_queries);
@@ -197,41 +193,6 @@ const CaptureStore::Record* CaptureStore::warm_record(const CaptureId& id) {
   return &record;
 }
 
-util::Result<std::vector<float>> CaptureStore::chunk_samples(
-    const CaptureId& id, const Record& record, std::size_t chunk) {
-  const CacheKey key{id, chunk};
-  if (const auto it = cache_index_.find(key); it != cache_index_.end()) {
-    ++stats_.cache_hits;
-    bump(metrics_.cache_hits);
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    return it->second->samples;
-  }
-  auto samples = record.capture->decode_chunk(chunk);
-  if (!samples.ok()) return samples;
-  ++stats_.raw_chunk_decodes;
-  bump(metrics_.decodes);
-  cache_lru_.push_front(CacheEntry{key, samples.value()});
-  cache_index_[key] = cache_lru_.begin();
-  while (cache_lru_.size() > cache_capacity_) {
-    cache_index_.erase(cache_lru_.back().key);
-    cache_lru_.pop_back();
-    ++stats_.cache_evictions;
-    bump(metrics_.cache_evictions);
-  }
-  return samples;
-}
-
-void CaptureStore::evict_capture(const CaptureId& id) {
-  for (auto it = cache_lru_.begin(); it != cache_lru_.end();) {
-    if (it->key.id == id) {
-      cache_index_.erase(it->key);
-      it = cache_lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 util::Result<hw::Capture> CaptureStore::range(const CaptureId& id,
                                               util::TimePoint t0,
                                               util::TimePoint t1) {
@@ -258,18 +219,24 @@ util::Result<hw::Capture> CaptureStore::range(const CaptureId& id,
   const std::size_t first = to_index(t0);
   const std::size_t last = to_index(t1);
 
+  // Sample i sits in chunk i / chunk_samples (deserialize enforces the
+  // layout), so the window needs chunks [first / cs, ceil(last / cs)),
+  // decoded into the answer, which is then trimmed to [first, last).
   std::vector<float> samples;
-  samples.reserve(last - first);
-  const std::size_t per_chunk = cc.chunk_samples();
-  for (std::size_t chunk = first / per_chunk;
-       chunk * per_chunk < last && chunk < cc.chunk_count(); ++chunk) {
-    auto decoded = chunk_samples(id, *record, chunk);
-    if (!decoded.ok()) return decoded.error();
-    const std::size_t base = chunk * per_chunk;
-    const std::size_t begin = std::max(first, base) - base;
-    const std::size_t end = std::min(last - base, decoded.value().size());
-    samples.insert(samples.end(), decoded.value().begin() + begin,
-                   decoded.value().begin() + end);
+  if (first < last) {
+    const std::size_t cs = cc.chunk_samples();
+    const std::size_t first_chunk = first / cs;
+    const std::size_t last_chunk = last / cs + (last % cs != 0 ? 1 : 0);
+    if (auto st = cc.decode_chunks(first_chunk, last_chunk, samples);
+        !st.ok()) {
+      return st.error();
+    }
+    stats_.raw_chunk_decodes += last_chunk - first_chunk;
+    bump(metrics_.decodes, last_chunk - first_chunk);
+    const std::size_t base = first_chunk * cs;
+    samples.resize(last - base);
+    samples.erase(samples.begin(),
+                  samples.begin() + static_cast<std::ptrdiff_t>(first - base));
   }
   return hw::Capture{cc.start() + util::Duration::seconds(
                                       static_cast<double>(first) / hz),
@@ -444,10 +411,7 @@ std::size_t CaptureStore::run_retention(util::TimePoint now) {
     if (action == kDropRaw) drop_ids.push_back(id);
   }
   const auto follow = [&] {
-    for (const CaptureId& id : erase_ids) {
-      evict_capture(id);
-      records_.erase(id);
-    }
+    for (const CaptureId& id : erase_ids) records_.erase(id);
     stats_.record_purges += erase_ids.size();
     bump(metrics_.record_purges, erase_ids.size());
     purge_raw(drop_ids);
@@ -485,7 +449,6 @@ std::size_t CaptureStore::drop_workspace_raw(const std::string& workspace) {
 
 void CaptureStore::purge_raw(const std::vector<CaptureId>& ids) {
   for (const CaptureId& id : ids) {
-    evict_capture(id);
     Record& record = records_.at(id);
     record.raw = false;
     if (record.capture.has_value()) record.capture->drop_raw();

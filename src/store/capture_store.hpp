@@ -2,14 +2,14 @@
 //
 // Per-job workspaces of ChunkedCapture records, TTL-tiered retention (raw
 // chunk payloads expire first; footer/tier summaries persist until the
-// summary TTL), an LRU cache of decoded chunks shared across readers, and a
-// query API that answers from the coarsest tier adequate for the request.
-// Deterministic: iteration orders are sorted, eviction is strict LRU, and no
-// operation consumes randomness — safe to run inside DST scenarios.
+// summary TTL), and a query API that answers from the coarsest tier
+// adequate for the request. Every read is answered from the capture's one
+// image: raw reads decode only the chunks they touch, and nothing decoded
+// is kept. Deterministic: iteration orders are sorted and no operation
+// consumes randomness — safe to run inside DST scenarios.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <string>
@@ -91,9 +91,11 @@ struct StoreStats {
   std::uint64_t chunks_written = 0;
   std::uint64_t bytes_raw = 0;      ///< float32 payload before encoding
   std::uint64_t bytes_encoded = 0;  ///< columnar payload after encoding
-  std::uint64_t raw_chunk_decodes = 0;  ///< cache misses that decoded a chunk
+  std::uint64_t raw_chunk_decodes = 0;  ///< chunks range() decoded
+  /// Always 0: the store keeps no decoded chunks. Only bench/e2e's
+  /// fleet_query still reads it, for its store.cache_hit_ratio metric;
+  /// delete both together.
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_evictions = 0;
   std::uint64_t raw_purges = 0;     ///< records whose raw tier was dropped
   std::uint64_t record_purges = 0;  ///< records dropped entirely
   std::uint64_t tier_queries = 0;   ///< queries served from tiers/footers
@@ -108,11 +110,7 @@ const char* capture_source_name(CaptureSource source);
 
 class CaptureStore {
  public:
-  static constexpr std::size_t kDefaultCacheChunks = 64;
-
-  explicit CaptureStore(RetentionPolicy policy = {},
-                        std::size_t cache_chunks = kDefaultCacheChunks)
-      : policy_{policy}, cache_capacity_{cache_chunks} {}
+  explicit CaptureStore(RetentionPolicy policy = {}) : policy_{policy} {}
 
   // -- ingest ------------------------------------------------------------
   /// Encode and archive a capture into `workspace`. `now` stamps the record
@@ -137,8 +135,9 @@ class CaptureStore {
   util::Result<CaptureSource> source_of(const CaptureId& id) const;
 
   // -- queries -----------------------------------------------------------
-  /// Raw samples in [t0, t1) — sample-exact, decoded chunk-by-chunk via the
-  /// LRU cache. Fails if the raw tier was purged.
+  /// Raw samples in [t0, t1) — sample-exact, decoded straight from the
+  /// image, only the chunks the window touches. Fails if the raw tier was
+  /// purged.
   util::Result<hw::Capture> range(const CaptureId& id, util::TimePoint t0,
                                   util::TimePoint t1);
   /// Windowed mean/min/max over the whole capture, served from the coarsest
@@ -213,16 +212,6 @@ class CaptureStore {
     bool raw = true;  ///< its raw tier is kept
     std::optional<ChunkedCapture> capture;
   };
-  struct CacheKey {
-    CaptureId id;
-    std::size_t chunk = 0;
-    auto operator<=>(const CacheKey&) const = default;
-  };
-  struct CacheEntry {
-    CacheKey key;
-    std::vector<float> samples;
-  };
-
   /// Cached registry instruments; all null until attach_metrics().
   struct Metrics {
     obs::Counter* appended = nullptr;
@@ -230,8 +219,6 @@ class CaptureStore {
     obs::Counter* bytes_raw = nullptr;
     obs::Counter* bytes_encoded = nullptr;
     obs::Counter* decodes = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_evictions = nullptr;
     obs::Counter* raw_purges = nullptr;
     obs::Counter* record_purges = nullptr;
     obs::Counter* tier_queries = nullptr;
@@ -245,19 +232,11 @@ class CaptureStore {
   const Record* warm_record(const CaptureId& id);
   /// Drop the raw tier of each of `ids`, in memory only.
   void purge_raw(const std::vector<CaptureId>& ids);
-  /// Decoded samples for one chunk, through the LRU cache.
-  util::Result<std::vector<float>> chunk_samples(const CaptureId& id,
-                                                 const Record& record,
-                                                 std::size_t chunk);
-  void evict_capture(const CaptureId& id);
 
   RetentionPolicy policy_;
-  std::size_t cache_capacity_;
   std::uint64_t next_seq_ = 1;
   // The catalog; std::map keeps workspace/sequence iteration deterministic.
   std::map<CaptureId, Record> records_;
-  std::list<CacheEntry> cache_lru_;  // front = most recent
-  std::map<CacheKey, std::list<CacheEntry>::iterator> cache_index_;
   StoreStats stats_;
   Metrics metrics_;
   obs::Tracer* tracer_ = nullptr;

@@ -160,21 +160,51 @@ char* encode_walk(const std::vector<float>& samples, std::size_t chunk_samples,
   return c.p;
 }
 
-const char* get_tier(const char* p, const char* end, Tier& tier) {
+/// One tier a header implies: encode builds it, parse requires it.
+struct Rung {
+  std::size_t factor = 0;
+  double rate_hz = 0.0;
+  std::size_t buckets = 0;
+};
+
+/// The tier ladder, finest first: one rung per kTierRatesHz target below
+/// the raw rate whose rounded factor is at least 2 and differs from the
+/// rung before, each with ceil(n / factor) buckets; none without samples.
+std::vector<Rung> tier_ladder(double sample_hz, std::size_t n) {
+  std::vector<Rung> ladder;
+  if (n == 0) return ladder;
+  for (double rate : ChunkedCapture::kTierRatesHz) {
+    if (rate >= sample_hz) continue;
+    const auto factor =
+        static_cast<std::size_t>(std::llround(sample_hz / rate));
+    if (factor < 2) continue;
+    if (!ladder.empty() && ladder.back().factor == factor) continue;
+    ladder.push_back(Rung{factor, sample_hz / static_cast<double>(factor),
+                          n / factor + (n % factor != 0 ? 1 : 0)});
+  }
+  return ladder;
+}
+
+/// Reads one tier, which must be `rung`: its factor, the bits of its rate
+/// and its bucket count, then its three columns. nullptr on a mismatch or
+/// short input.
+const char* get_tier(const char* p, const char* end, const Rung& rung,
+                     Tier& tier) {
   std::uint64_t factor = 0;
   std::uint64_t buckets = 0;
   p = get_u64(p, end, factor);
-  if (p == nullptr) return nullptr;
-  p = get_f64(p, end, tier.rate_hz);
-  if (p == nullptr) return nullptr;
-  p = get_u64(p, end, buckets);
-  if (p == nullptr || factor == 0) return nullptr;
-  if (!std::isfinite(tier.rate_hz) || tier.rate_hz <= 0.0) return nullptr;
+  if (p != nullptr) p = get_f64(p, end, tier.rate_hz);
+  if (p != nullptr) p = get_u64(p, end, buckets);
+  if (p == nullptr || factor != rung.factor || buckets != rung.buckets ||
+      std::bit_cast<std::uint64_t>(tier.rate_hz) !=
+          std::bit_cast<std::uint64_t>(rung.rate_hz)) {
+    return nullptr;
+  }
   // 12 bytes per bucket; reject counts the payload cannot hold.
   if (buckets > static_cast<std::uint64_t>(end - p) / 12) return nullptr;
-  tier.factor = static_cast<std::size_t>(factor);
+  tier.factor = rung.factor;
   auto read_column = [&](std::vector<float>& column) {
-    column.resize(static_cast<std::size_t>(buckets));
+    column.resize(rung.buckets);
     for (auto& v : column) {
       p = get_f32(p, end, v);
       if (p == nullptr) return false;
@@ -272,23 +302,15 @@ ChunkedCapture ChunkedCapture::encode(const hw::Capture& capture,
   cc.sample_count_ = n;
 
   std::size_t tier_bytes = 8;
-  if (n > 0) {
-    for (double rate : kTierRatesHz) {
-      if (rate >= cc.sample_hz_) continue;
-      const auto factor =
-          static_cast<std::size_t>(std::llround(cc.sample_hz_ / rate));
-      if (factor < 2) continue;
-      if (!cc.tiers_.empty() && cc.tiers_.back().factor == factor) continue;
-      Tier tier;
-      tier.factor = factor;
-      tier.rate_hz = cc.sample_hz_ / static_cast<double>(factor);
-      const std::size_t buckets = n / factor + (n % factor != 0 ? 1 : 0);
-      tier.mean_ma.reserve(buckets);
-      tier.min_ma.reserve(buckets);
-      tier.max_ma.reserve(buckets);
-      tier_bytes += 8 + 8 + 8 + buckets * 12;
-      cc.tiers_.push_back(std::move(tier));
-    }
+  for (const Rung& rung : tier_ladder(cc.sample_hz_, n)) {
+    Tier tier;
+    tier.factor = rung.factor;
+    tier.rate_hz = rung.rate_hz;
+    tier.mean_ma.reserve(rung.buckets);
+    tier.min_ma.reserve(rung.buckets);
+    tier.max_ma.reserve(rung.buckets);
+    tier_bytes += 8 + 8 + 8 + rung.buckets * 12;
+    cc.tiers_.push_back(std::move(tier));
   }
   const std::size_t chunk_count =
       n / cc.chunk_samples_ + (n % cc.chunk_samples_ != 0 ? 1 : 0);
@@ -329,23 +351,28 @@ ChunkedCapture ChunkedCapture::encode(const hw::Capture& capture,
   return cc;
 }
 
-util::Result<std::vector<float>> ChunkedCapture::decode_chunk(
-    std::size_t chunk) const {
-  if (chunk >= chunks_.size()) {
-    return malformed("chunk index out of range");
-  }
+util::Status ChunkedCapture::decode_chunks(std::size_t first,
+                                           std::size_t last,
+                                           std::vector<float>& out) const {
   if (!raw_available_) {
     return util::make_error(util::ErrorCode::kFailedPrecondition,
                             "raw chunks purged by retention");
   }
-  const ChunkSlot& slot = chunks_[chunk];
-  std::vector<float> samples;
-  if (!decode_samples(
-          image_.view().substr(slot.offset, slot.length),
-          slot.footer.count, samples)) {
-    return malformed("corrupt chunk payload");
+  if (first > last || last > chunks_.size()) {
+    return malformed("chunk range out of range");
   }
-  return samples;
+  // With the raw tier present, parse bounds every count by its payload.
+  std::size_t samples = out.size();
+  for (std::size_t i = first; i < last; ++i) samples += chunks_[i].footer.count;
+  out.reserve(samples);
+  for (std::size_t i = first; i < last; ++i) {
+    const ChunkSlot& slot = chunks_[i];
+    if (!decode_samples(image_.view().substr(slot.offset, slot.length),
+                        slot.footer.count, out)) {
+      return malformed("corrupt chunk payload");
+    }
+  }
+  return util::Status::ok_status();
 }
 
 std::string_view ChunkedCapture::tier_section(std::string_view image) const {
@@ -418,27 +445,10 @@ double ChunkedCapture::charge_mah() const {
   return mean_ma() * duration().to_seconds() / 3600.0;
 }
 
-const Tier* ChunkedCapture::coarsest_tier_with(std::size_t min_buckets) const {
-  const Tier* best = nullptr;
-  for (const auto& tier : tiers_) {
-    if (tier.buckets() >= min_buckets) best = &tier;
-  }
-  return best;
-}
-
 util::Result<hw::Capture> ChunkedCapture::decode() const {
-  if (!raw_available_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "raw chunks purged by retention");
-  }
   std::vector<float> samples;
-  samples.reserve(sample_count_);
-  for (const ChunkSlot& slot : chunks_) {
-    if (!decode_samples(
-            image_.view().substr(slot.offset, slot.length),
-            slot.footer.count, samples)) {
-      return malformed("corrupt chunk payload");
-    }
+  if (auto st = decode_chunks(0, chunks_.size(), samples); !st.ok()) {
+    return st.error();
   }
   if (samples.size() != sample_count_) {
     return malformed("chunk counts disagree with header");
@@ -502,7 +512,7 @@ util::Result<ChunkedCapture> ChunkedCapture::parse(std::string_view bytes) {
   // Every chunk takes at least its footer, which bounds the reserve.
   cc.chunks_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       chunk_count, static_cast<std::uint64_t>(end - p) / kFooterBytes)));
-  std::uint64_t total = 0;
+  std::uint64_t left = sample_count;
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
     ChunkSlot slot;
     std::uint64_t payload = 0;
@@ -514,15 +524,14 @@ util::Result<ChunkedCapture> ChunkedCapture::parse(std::string_view bytes) {
     if (p == nullptr || payload > static_cast<std::uint64_t>(end - p)) {
       return malformed("truncated chunk");
     }
+    // The layout encode emits: every chunk holds chunk_samples samples but
+    // the last, which holds the rest, and none is empty.
+    if (left == 0 || slot.footer.count != std::min(chunk_samples, left)) {
+      return malformed("chunk layout disagrees with header");
+    }
     // With the raw tier present every sample costs at least one payload
-    // byte and empty chunks carry none; purged chunks carry footers only.
-    // Either way a chunk never holds more than chunk_samples_ samples.
-    const bool payload_consistent =
-        cc.raw_available_
-            ? slot.footer.count <= payload &&
-                  (slot.footer.count > 0 || payload == 0)
-            : payload == 0;
-    if (!payload_consistent || slot.footer.count > cc.chunk_samples_) {
+    // byte; purged chunks carry footers only.
+    if (cc.raw_available_ ? slot.footer.count > payload : payload != 0) {
       return malformed("chunk count disagrees with payload");
     }
     if (!std::isfinite(slot.footer.sum_ma)) {
@@ -531,20 +540,22 @@ util::Result<ChunkedCapture> ChunkedCapture::parse(std::string_view bytes) {
     slot.offset = static_cast<std::size_t>(p - begin);
     slot.length = static_cast<std::size_t>(payload);
     p += payload;
-    total += slot.footer.count;
+    left -= slot.footer.count;
     cc.chunks_.push_back(slot);
   }
-  if (total != cc.sample_count_) {
-    return malformed("chunk counts disagree with header");
-  }
+  if (left != 0) return malformed("chunk counts disagree with header");
 
+  const std::vector<Rung> ladder = tier_ladder(cc.sample_hz_, cc.sample_count_);
   std::uint64_t tier_count = 0;
   p = get_u64(p, end, tier_count);
   if (p == nullptr) return malformed("truncated tier table");
-  for (std::uint64_t i = 0; i < tier_count; ++i) {
+  if (tier_count != ladder.size()) {
+    return malformed("tier table disagrees with header");
+  }
+  for (const Rung& rung : ladder) {
     Tier tier;
-    p = get_tier(p, end, tier);
-    if (p == nullptr) return malformed("truncated tier");
+    p = get_tier(p, end, rung, tier);
+    if (p == nullptr) return malformed("tier off the ladder or truncated");
     cc.tiers_.push_back(std::move(tier));
   }
   if (p != end) return malformed("trailing bytes");

@@ -8,9 +8,16 @@
 //
 // The in-memory form is the canonical `BLC1` image itself: chunk payloads
 // live only there, behind a small index of footers and payload offsets, and
-// the persist layer journals the same bytes by reference. Footers and tiers
+// the persist layer writes the same bytes by reference. Footers and tiers
 // are also kept decoded (tiers are ~4% of a raw image), so queries never
-// parse the image.
+// parse the image. Raw samples come out of it through one loop,
+// decode_chunks, which decode() and CaptureStore::range() share.
+//
+// The layout is a function of the header: every chunk holds chunk_samples
+// samples but the last, which holds the rest (at least one), and the tier
+// table is the ladder encode derives from the sample rate and count.
+// deserialize enforces both, so sample i is always in chunk
+// i / chunk_samples.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +92,12 @@ class ChunkedCapture {
     return chunks_[chunk].footer;
   }
   bool raw_available() const { return raw_available_; }
-  util::Result<std::vector<float>> decode_chunk(std::size_t chunk) const;
+  /// Appends the samples of chunks [first, last) to `out`, reserving room
+  /// for exactly those first. Fails with kFailedPrecondition once the raw
+  /// tier is purged and with kInvalidArgument on a corrupt payload or a
+  /// range past the last chunk; `out` may then hold a partial append.
+  util::Status decode_chunks(std::size_t first, std::size_t last,
+                             std::vector<float>& out) const;
   /// Retention: drop raw chunk payloads and rebuild the image as the
   /// summary image; footers and tiers persist.
   void drop_raw();
@@ -101,8 +113,6 @@ class ChunkedCapture {
   // -- tiers -------------------------------------------------------------
   /// Ordered finest to coarsest.
   const std::vector<Tier>& tiers() const { return tiers_; }
-  /// Coarsest tier with at least `min_buckets` buckets (nullptr if none).
-  const Tier* coarsest_tier_with(std::size_t min_buckets) const;
   const Tier* finest_tier() const {
     return tiers_.empty() ? nullptr : &tiers_.front();
   }
@@ -118,7 +128,8 @@ class ChunkedCapture {
   /// without a copy. Valid until the capture is modified or destroyed.
   std::string_view serialize() const { return image_.view(); }
   /// Validate an image and copy it, in one piece, into the capture's own
-  /// image buffer. Rejects anything serialize() would not emit.
+  /// image buffer. Rejects anything serialize() would not emit, the chunk
+  /// and tier layouts included.
   static util::Result<ChunkedCapture> deserialize(std::string_view bytes);
   /// The image deserialize(bytes) would hold after drop_raw(), built
   /// without copying the raw image first (segment demotion). Rejects what

@@ -1219,6 +1219,76 @@ TEST(PersistentStore, ColdQueriesAnswerIdenticallyAfterRestart) {
   fs::remove_all(dir, ec);
 }
 
+TEST(PersistentStore, RangeIsTheDecodeSliceForInterleavedReaders) {
+  // Two recovered captures of 100 samples at 1 kHz in 16-sample chunks (six
+  // full chunks and a 4-sample tail), read in interleaved order, every
+  // window twice: each answer is the matching slice of decode(), and each
+  // read decodes exactly the chunks its window touches.
+  const std::string dir = scratch_dir("range");
+  constexpr std::size_t kChunkSamples = 16;
+  constexpr double kHz = 1000.0;
+  std::vector<CaptureId> ids;
+  std::vector<std::vector<float>> decoded;
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    for (std::uint64_t seq : {1u, 2u}) {
+      const Capture capture{TimePoint::epoch(), kHz, 3.85,
+                            walk_samples(50 + seq, 100)};
+      const ChunkedCapture cc = ChunkedCapture::encode(capture, kChunkSamples);
+      ids.push_back(CaptureId{"vp-r", seq});
+      ASSERT_TRUE(
+          engine.append(ids.back(), "DEV", TimePoint::epoch(), cc).ok());
+      auto samples = cc.decode();
+      ASSERT_TRUE(samples.ok());
+      decoded.push_back(samples.value().samples_ma());
+    }
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  CaptureStore store;
+  store.attach_persistence(engine);
+
+  // Sample i is at i ms; half a sample before it maps to it exactly.
+  const auto at = [](std::int64_t i) {
+    return TimePoint::epoch() + Duration::micros(1000 * i - 500);
+  };
+  struct Window {
+    std::int64_t t0, t1;         // in samples, before clamping
+    std::size_t first, last;     // the answer's slice of decode()
+    std::uint64_t chunks;        // chunks the window touches
+  };
+  const Window windows[] = {
+      {5, 50, 5, 50, 4},          // mid-chunk to mid-chunk, chunks 0-3
+      {18, 25, 18, 25, 1},        // inside chunk 1
+      {90, 98, 90, 98, 2},        // ends inside the tail chunk
+      {40, 40, 40, 40, 0},        // empty
+      {-3000, 5000, 0, 100, 7},   // clamped at both ends: every chunk
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const Window& w : windows) {
+      for (std::size_t c = 0; c < ids.size(); ++c) {
+        SCOPED_TRACE(::testing::Message() << "round " << round << ", capture "
+                                          << c << ", [" << w.t0 << ", "
+                                          << w.t1 << ")");
+        const std::uint64_t before = store.stats().raw_chunk_decodes;
+        auto got = store.range(ids[c], at(w.t0), at(w.t1));
+        ASSERT_TRUE(got.ok()) << got.error().str();
+        EXPECT_EQ(got.value().samples_ma(),
+                  std::vector<float>(decoded[c].begin() + w.first,
+                                     decoded[c].begin() + w.last));
+        EXPECT_EQ(got.value().start(),
+                  TimePoint::epoch() +
+                      Duration::seconds(static_cast<double>(w.first) / kHz));
+        EXPECT_EQ(store.stats().raw_chunk_decodes - before, w.chunks);
+      }
+    }
+  }
+  EXPECT_EQ(store.stats().disk_loads, 2u);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(PersistentStore, SourceOfReportsTierAfterRawDrop) {
   const std::string dir = scratch_dir("tier");
   persist::PersistEngine engine{dir};

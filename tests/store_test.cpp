@@ -1,5 +1,6 @@
-// Chunked capture store: codec losslessness, tier ladder edges, retention
-// TTLs, LRU cache behavior, and the query API's footer/tier fast paths.
+// Chunked capture store: codec losslessness, tier ladder edges, the layout
+// rule deserialize enforces, retention TTLs, and the query API's footer/tier
+// fast paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,10 +94,10 @@ TEST(ChunkedCapture, SingleSampleTailChunk) {
   EXPECT_EQ(cc.footer(0).count, 4u);
   EXPECT_EQ(cc.footer(1).count, 4u);
   EXPECT_EQ(cc.footer(2).count, 1u);
-  auto tail = cc.decode_chunk(2);
-  ASSERT_TRUE(tail.ok());
-  ASSERT_EQ(tail.value().size(), 1u);
-  EXPECT_EQ(tail.value()[0], original.samples_ma()[8]);
+  std::vector<float> tail;
+  ASSERT_TRUE(cc.decode_chunks(2, 3, tail).ok());
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0], original.samples_ma()[8]);
   EXPECT_EQ(cc.footer(2).min_ma, original.samples_ma()[8]);
   EXPECT_EQ(cc.footer(2).max_ma, original.samples_ma()[8]);
 }
@@ -224,6 +225,109 @@ TEST(ChunkedCapture, DeserializeRejectsMalformedBytes) {
   EXPECT_FALSE(
       ChunkedCapture::deserialize(good.substr(0, good.size() / 2)).ok());
   EXPECT_FALSE(ChunkedCapture::deserialize(good + std::string(1, '\0')).ok());
+}
+
+/// The tier section encode writes for `tiers`: the tier count, then each
+/// tier's factor, rate, bucket count and mean, min and max columns.
+std::string tier_section(const std::vector<blab::store::Tier>& tiers) {
+  using namespace blab::store;
+  std::string out;
+  put_u64(out, tiers.size());
+  for (const Tier& tier : tiers) {
+    put_u64(out, tier.factor);
+    put_f64(out, tier.rate_hz);
+    put_u64(out, tier.buckets());
+    for (const auto* column : {&tier.mean_ma, &tier.min_ma, &tier.max_ma}) {
+      for (float v : *column) put_f32(out, v);
+    }
+  }
+  return out;
+}
+
+/// A raw image of `capture` under header chunk_samples `chunk_samples`,
+/// laid out the way encode lays one out, but with chunks of `splits`
+/// samples each.
+std::string image_with_chunks(const Capture& capture,
+                              std::size_t chunk_samples,
+                              const std::vector<std::uint32_t>& splits) {
+  using namespace blab::store;
+  const ChunkedCapture cc = ChunkedCapture::encode(capture, chunk_samples);
+  // The header up to its chunk count: magic, t0, rate, voltage, sample
+  // count, chunk_samples and the raw flag.
+  std::string out{cc.serialize().substr(0, 4 + 5 * 8 + 1)};
+  put_u64(out, splits.size());
+  const float* s = capture.samples_ma().data();
+  for (std::uint32_t count : splits) {
+    const std::string payload = encode_samples(s, count);
+    float lo = s[0];
+    float hi = s[0];
+    double sum = 0.0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      lo = std::min(lo, s[i]);
+      hi = std::max(hi, s[i]);
+      sum += static_cast<double>(s[i]);
+    }
+    put_u32(out, count);
+    put_f32(out, lo);
+    put_f32(out, hi);
+    put_f64(out, sum);
+    put_u64(out, payload.size());
+    out += payload;
+    s += count;
+  }
+  return out + tier_section(cc.tiers());
+}
+
+TEST(ChunkedCapture, DeserializeRejectsChunkLayoutsEncodeNeverEmits) {
+  // 8 samples in chunks of 4 encode as [4, 4]; the helper reproduces that.
+  const Capture capture = make_capture(15, 8);
+  ASSERT_EQ(image_with_chunks(capture, 4, {4, 4}),
+            ChunkedCapture::encode(capture, 4).serialize());
+  // The same chunks under a header that says 8: sample 4 would be looked
+  // for in chunk 0, so range() over samples 4-7 would come back empty.
+  const auto raised = ChunkedCapture::deserialize(
+      image_with_chunks(capture, 8, {4, 4}));
+  ASSERT_FALSE(raised.ok());
+  EXPECT_EQ(raised.error().code, ErrorCode::kInvalidArgument);
+  // A short chunk before the last one.
+  const auto short_chunk = ChunkedCapture::deserialize(
+      image_with_chunks(capture, 4, {4, 3, 1}));
+  ASSERT_FALSE(short_chunk.ok());
+  EXPECT_EQ(short_chunk.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(ChunkedCapture, DeserializeRejectsTiersOffTheLadder) {
+  // 10000 samples at 5 kHz: tiers of factor 100 (100 buckets) and 5000 (2).
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(16, 10000));
+  const std::string image{cc.serialize()};
+  const std::string tiers = tier_section(cc.tiers());
+  ASSERT_TRUE(image.ends_with(tiers));
+  const std::string prefix = image.substr(0, image.size() - tiers.size());
+  const auto rejected = [&](const std::vector<blab::store::Tier>& bad) {
+    const auto parsed = ChunkedCapture::deserialize(prefix + tier_section(bad));
+    return !parsed.ok() && parsed.error().code == ErrorCode::kInvalidArgument;
+  };
+
+  // One bucket more than ceil(n / factor).
+  auto extra = cc.tiers();
+  for (auto* column :
+       {&extra[0].mean_ma, &extra[0].min_ma, &extra[0].max_ma}) {
+    column->push_back(column->back());
+  }
+  EXPECT_TRUE(rejected(extra));
+  // A factor the ladder never derives, with its own rate and bucket count.
+  auto off = cc.tiers();
+  off[0].factor = 99;
+  off[0].rate_hz = 5000.0 / 99.0;
+  for (auto* column : {&off[0].mean_ma, &off[0].min_ma, &off[0].max_ma}) {
+    const float last = column->back();
+    column->resize(102, last);  // ceil(10000 / 99)
+  }
+  EXPECT_TRUE(rejected(off));
+  // A ladder missing its 1 Hz tier.
+  auto missing = cc.tiers();
+  missing.pop_back();
+  EXPECT_TRUE(rejected(missing));
 }
 
 // ------------------------------------------------------------------------
@@ -740,49 +844,6 @@ TEST(CaptureStore, WorkspacePurgeLeavesOtherJobsRaw) {
                           TimePoint::epoch() + Duration::seconds(1)).ok());
   // Repeat purge finds nothing left to drop.
   EXPECT_EQ(store.drop_workspace_raw("job-a"), 0u);
-}
-
-// ------------------------------------------------------------------------
-// LRU cache.
-// ------------------------------------------------------------------------
-
-TEST(CaptureStore, LruEvictsUnderInterleavedReaders) {
-  // Two 3-chunk captures sharing a 2-chunk cache: interleaved readers force
-  // evictions but never wrong data.
-  CaptureStore store{RetentionPolicy{}, /*cache_chunks=*/2};
-  const Capture ca = make_capture(30, 10000);
-  const Capture cb = make_capture(31, 10000);
-  const auto a = store.append("job-a", "m", ca, TimePoint::epoch());
-  const auto b = store.append("job-b", "m", cb, TimePoint::epoch());
-  for (int round = 0; round < 3; ++round) {
-    for (double t0 : {0.0, 0.9, 1.8}) {
-      auto sa = store.range(a, TimePoint::epoch() + Duration::seconds(t0),
-                            TimePoint::epoch() + Duration::seconds(t0 + 0.1));
-      auto sb = store.range(b, TimePoint::epoch() + Duration::seconds(t0),
-                            TimePoint::epoch() + Duration::seconds(t0 + 0.1));
-      ASSERT_TRUE(sa.ok());
-      ASSERT_TRUE(sb.ok());
-      const auto first = static_cast<std::size_t>(std::ceil(t0 * 5000.0));
-      ASSERT_FALSE(sa.value().samples_ma().empty());
-      EXPECT_EQ(sa.value().samples_ma()[0], ca.samples_ma()[first]);
-      EXPECT_EQ(sb.value().samples_ma()[0], cb.samples_ma()[first]);
-    }
-  }
-  EXPECT_GT(store.stats().cache_evictions, 0u);
-  EXPECT_GT(store.stats().raw_chunk_decodes, store.stats().cache_evictions);
-}
-
-TEST(CaptureStore, RepeatedReadsHitTheCache) {
-  CaptureStore store;
-  const auto id =
-      store.append("job", "m", make_capture(32, 5000), TimePoint::epoch());
-  const auto t1 = TimePoint::epoch() + Duration::seconds(1);
-  ASSERT_TRUE(store.range(id, TimePoint::epoch(), t1).ok());
-  const auto decodes = store.stats().raw_chunk_decodes;
-  EXPECT_GT(decodes, 0u);
-  ASSERT_TRUE(store.range(id, TimePoint::epoch(), t1).ok());
-  EXPECT_EQ(store.stats().raw_chunk_decodes, decodes);
-  EXPECT_GT(store.stats().cache_hits, 0u);
 }
 
 TEST(CaptureStore, ReencodeInStoreIsDeterministic) {
