@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer lane: build with ASan+UBSan (BLAB_SANITIZE=ON) and run the DST,
-# capture-store, telemetry and failure-injection suites, then the store
-# throughput and persist benches. DST digests must come out identical under
-# sanitizers — instrumentation that changes behavior is itself a bug. The
-# obs suite rides along because its concurrency smokes (pooled corpus,
+# capture-store, telemetry, failure-injection and network suites, then the
+# store throughput and persist benches. DST digests must come out identical
+# under sanitizers — instrumentation that changes behavior is itself a bug.
+# The obs suite rides along because its concurrency smokes (pooled corpus,
 # multi-thread logging/counters) are exactly what sanitizers are for.
 #
 # The lane ends with a fuzz smoke: every wire-surface harness (fuzz/) replays
@@ -21,14 +21,16 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBLAB_SANITIZE=ON -DBLAB_FUZZ=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target blab_dst store_test persist_test failure_test obs_test \
+  --target blab_dst store_test persist_test failure_test net_test obs_test \
            health_test store_throughput store_persist rest_backend_fuzz \
            trace_io_fuzz store_codec_fuzz novnc_fuzz persist_fuzz \
            make_seed_corpus
 ctest --test-dir "$BUILD_DIR" -L 'dst|store|obs|fuzz' --output-on-failure
-# failure_test carries no ctest label, so the lane above skips it; run it
-# directly.
+# failure_test and net_test carry no ctest label, so the lane above skips
+# them; run them directly. net_test covers the route cache, which holds raw
+# Link pointers across sends.
 "$BUILD_DIR"/tests/failure_test
+"$BUILD_DIR"/tests/net_test
 "$BUILD_DIR"/bench/store_throughput
 # The one program that drives a CaptureStore over a reopened engine: cold
 # loads and a retention pass over cold records.

@@ -13,11 +13,12 @@ Duration serialization_time(std::size_t bytes, double mbps) {
 }
 
 Link::Link(std::string host_a, std::string host_b, LinkSpec spec,
-           std::string label)
+           std::string label, std::uint64_t* topology_epoch)
     : host_a_{std::move(host_a)},
       host_b_{std::move(host_b)},
       spec_{spec},
-      label_{std::move(label)} {
+      label_{std::move(label)},
+      topology_epoch_{topology_epoch} {
   assert(host_a_ != host_b_);
 }
 
@@ -31,11 +32,7 @@ std::string Link::peer_of(const std::string& x) const {
   return {};
 }
 
-double Link::bandwidth_from_mbps(const std::string& from) const {
-  return from == host_a_ ? spec_.bandwidth_ab_mbps : spec_.bandwidth_ba_mbps;
-}
-
-Transit Link::send(const std::string& from, std::size_t bytes, TimePoint now,
+Transit Link::send(Direction dir, std::size_t bytes, TimePoint now,
                    util::Rng& rng) {
   Transit t;
   if (spec_.loss_rate > 0.0 && rng.chance(spec_.loss_rate)) {
@@ -43,11 +40,11 @@ Transit Link::send(const std::string& from, std::size_t bytes, TimePoint now,
     ++drops_;
     return t;
   }
-  const bool ab = (from == host_a_);
+  const bool ab = dir == Direction::kAtoB;
   TimePoint& free_at = ab ? free_ab_ : free_ba_;
   (ab ? bytes_ab_ : bytes_ba_) += bytes;
 
-  const Duration ser = serialization_time(bytes, bandwidth_from_mbps(from));
+  const Duration ser = serialization_time(bytes, bandwidth_mbps(dir));
   Duration prop = spec_.latency;
   if (spec_.jitter_fraction > 0.0) {
     prop = prop * (1.0 + rng.uniform(-spec_.jitter_fraction,

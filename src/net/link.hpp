@@ -2,6 +2,7 @@
 // and per-direction serialization (a busy link queues subsequent packets).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "util/rng.hpp"
@@ -31,6 +32,9 @@ struct LinkSpec {
   }
 };
 
+/// Which way a transfer crosses a link.
+enum class Direction : std::uint8_t { kAtoB, kBtoA };
+
 /// Directed transfer outcome computed by the link.
 struct Transit {
   bool dropped = false;
@@ -39,8 +43,12 @@ struct Transit {
 
 class Link {
  public:
+  /// `topology_epoch`, when given, is the owning Network's route-cache
+  /// epoch (Network::add_link passes it): set_spec and set_enabled bump it,
+  /// so no cached route outlives the link state it was resolved from. It
+  /// must outlive the link. A standalone link passes none.
   Link(std::string host_a, std::string host_b, LinkSpec spec,
-       std::string label = {});
+       std::string label = {}, std::uint64_t* topology_epoch = nullptr);
 
   const std::string& host_a() const { return host_a_; }
   const std::string& host_b() const { return host_b_; }
@@ -48,29 +56,53 @@ class Link {
   /// between the same host pair.
   const std::string& label() const { return label_; }
   const LinkSpec& spec() const { return spec_; }
-  void set_spec(const LinkSpec& spec) { spec_ = spec; }
+  /// Changes latency, bandwidth, loss and hop cost; a new hop cost may
+  /// reroute, so this bumps the owning Network's topology epoch.
+  void set_spec(const LinkSpec& spec) {
+    spec_ = spec;
+    bump_epoch();
+  }
 
   /// Disabled links carry no traffic and are invisible to routing (e.g. a
-  /// USB port whose power was cut with uhubctl).
+  /// USB port whose power was cut with uhubctl). Bumps the owning
+  /// Network's topology epoch.
   bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
+  void set_enabled(bool on) {
+    enabled_ = on;
+    bump_epoch();
+  }
 
   bool connects(const std::string& x, const std::string& y) const;
   /// The host on the other end, or empty if `x` is not an endpoint.
   std::string peer_of(const std::string& x) const;
+  /// Direction of a transfer sent from `from` (kBtoA unless it is host_a).
+  Direction direction_from(const std::string& from) const {
+    return from == host_a_ ? Direction::kAtoB : Direction::kBtoA;
+  }
+  /// The host a transfer in `dir` arrives at.
+  const std::string& head(Direction dir) const {
+    return dir == Direction::kAtoB ? host_b_ : host_a_;
+  }
 
-  /// Compute the delivery delay for `bytes` sent from `from` at time `now`.
+  /// Compute the delivery delay for `bytes` sent in `dir` at time `now`.
   /// Updates the directional queue so back-to-back sends serialize.
-  Transit send(const std::string& from, std::size_t bytes, TimePoint now,
+  Transit send(Direction dir, std::size_t bytes, TimePoint now,
                util::Rng& rng);
 
-  double bandwidth_from_mbps(const std::string& from) const;
+  double bandwidth_mbps(Direction dir) const {
+    return dir == Direction::kAtoB ? spec_.bandwidth_ab_mbps
+                                   : spec_.bandwidth_ba_mbps;
+  }
 
   std::uint64_t bytes_ab() const { return bytes_ab_; }
   std::uint64_t bytes_ba() const { return bytes_ba_; }
   std::uint64_t drops() const { return drops_; }
 
  private:
+  void bump_epoch() {
+    if (topology_epoch_ != nullptr) ++*topology_epoch_;
+  }
+
   std::string host_a_;
   std::string host_b_;
   LinkSpec spec_;
@@ -83,6 +115,7 @@ class Link {
   std::uint64_t bytes_ab_ = 0;
   std::uint64_t bytes_ba_ = 0;
   std::uint64_t drops_ = 0;
+  std::uint64_t* topology_epoch_ = nullptr;
 };
 
 /// Serialization time of `bytes` at `mbps` megabits per second.

@@ -30,10 +30,12 @@ Link& Network::add_link(const std::string& a, const std::string& b,
                         const LinkSpec& spec, const std::string& label) {
   add_host(a);
   add_host(b);
-  links_.push_back(std::make_unique<Link>(a, b, spec, label));
+  links_.push_back(
+      std::make_unique<Link>(a, b, spec, label, &topology_epoch_));
   const std::size_t idx = links_.size() - 1;
   adjacency_[a].push_back(idx);
   adjacency_[b].push_back(idx);
+  ++topology_epoch_;
   return *links_.back();
 }
 
@@ -137,10 +139,40 @@ std::vector<std::string> Network::routed_path(const std::string& from,
   return path;
 }
 
+const Network::Route Network::kNoRoute{};
+
+const Network::Route& Network::route(const std::string& from,
+                                     const std::string& to) const {
+  auto row = routes_.find(from);
+  if (row == routes_.end()) {
+    if (!has_host(from)) return kNoRoute;
+    row = routes_.try_emplace(from).first;
+  }
+  auto cell = row->second.find(to);
+  if (cell == row->second.end()) {
+    if (!has_host(to)) return kNoRoute;
+    cell = row->second.try_emplace(to).first;
+  }
+  Route& r = cell->second;
+  if (r.epoch == topology_epoch_) return r;
+  // Resolve through the search and best_link, so ties and hop costs fall
+  // exactly as they would for an uncached route.
+  const std::vector<std::string> hosts = routed_path(from, to);
+  r.epoch = topology_epoch_;
+  r.reachable = !hosts.empty();
+  r.hops.clear();
+  for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+    // Never null: the search only crosses enabled links.
+    Link* link = best_link(hosts[i], hosts[i + 1]);
+    r.hops.push_back({link, link->direction_from(hosts[i])});
+  }
+  return r;
+}
+
 util::Status Network::send(Message msg) {
   msg.id = next_msg_id_++;
-  const auto route = routed_path(msg.src.host, msg.dst.host);
-  if (route.empty()) {
+  const Route& route = this->route(msg.src.host, msg.dst.host);
+  if (!route.reachable) {
     return util::make_error(util::ErrorCode::kUnavailable,
                             "no route from " + msg.src.host + " to " +
                                 msg.dst.host);
@@ -151,13 +183,9 @@ util::Status Network::send(Message msg) {
   }
   const std::size_t bytes = msg.size();
   Duration total = Duration::zero();
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    Link* link = best_link(route[i], route[i + 1]);
-    if (link == nullptr) {
-      return util::make_error(util::ErrorCode::kUnavailable,
-                              "link vanished mid-route");
-    }
-    const Transit transit = link->send(route[i], bytes, sim_.now() + total, rng_);
+  for (const Hop& hop : route.hops) {
+    const Transit transit =
+        hop.link->send(hop.dir, bytes, sim_.now() + total, rng_);
     if (transit.dropped) {
       ++dropped_;
       metrics_.dropped->inc();
@@ -189,6 +217,7 @@ util::Status Network::set_gateway(const std::string& host,
                                   const std::string& gateway) {
   if (gateway.empty()) {
     gateways_.erase(host);
+    ++topology_epoch_;
     return util::Status::ok_status();
   }
   if (!has_host(gateway)) {
@@ -200,6 +229,7 @@ util::Status Network::set_gateway(const std::string& host,
                             "gateway " + gateway + " unreachable from " + host);
   }
   gateways_[host] = gateway;
+  ++topology_epoch_;
   return util::Status::ok_status();
 }
 
@@ -210,38 +240,37 @@ std::string Network::gateway_of(const std::string& host) const {
 
 std::vector<std::string> Network::path(const std::string& from,
                                        const std::string& to) const {
-  return routed_path(from, to);
+  const Route& r = route(from, to);
+  if (!r.reachable) return {};
+  std::vector<std::string> hosts{from};
+  for (const Hop& hop : r.hops) hosts.push_back(hop.link->head(hop.dir));
+  return hosts;
 }
 
 util::Result<Duration> Network::path_delay(const std::string& from,
                                            const std::string& to,
                                            std::size_t bytes) const {
-  const auto route = routed_path(from, to);
-  if (route.empty()) {
+  const Route& r = route(from, to);
+  if (!r.reachable) {
     return util::make_error(util::ErrorCode::kUnavailable, "no route");
   }
   Duration total = Duration::zero();
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (const Link* link = best_link(route[i], route[i + 1])) {
-      total += link->spec().latency;
-      total +=
-          serialization_time(bytes, link->bandwidth_from_mbps(route[i]));
-    }
+  for (const Hop& hop : r.hops) {
+    total += hop.link->spec().latency;
+    total += serialization_time(bytes, hop.link->bandwidth_mbps(hop.dir));
   }
   return total;
 }
 
 util::Result<double> Network::path_bandwidth_mbps(const std::string& from,
                                                   const std::string& to) const {
-  const auto route = routed_path(from, to);
-  if (route.empty()) {
+  const Route& r = route(from, to);
+  if (!r.reachable) {
     return util::make_error(util::ErrorCode::kUnavailable, "no route");
   }
   double mbps = 1e12;
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (const Link* link = best_link(route[i], route[i + 1])) {
-      mbps = std::min(mbps, link->bandwidth_from_mbps(route[i]));
-    }
+  for (const Hop& hop : r.hops) {
+    mbps = std::min(mbps, hop.link->bandwidth_mbps(hop.dir));
   }
   return mbps;
 }

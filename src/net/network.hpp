@@ -1,10 +1,19 @@
 // Network graph: hosts, links, message routing and delivery.
 //
-// Messages route over the shortest hop path (BFS); each hop adds the link's
-// queueing + serialization + propagation delay. Per-host byte counters feed
-// the paper's traffic accounting (§4.2: 32 MB upload per ~7 min mirroring
-// session). A host may be forced to route via a gateway — that is how VPN
-// tunnels are modeled (§4.3).
+// Messages route over the path of least total hop cost (a uniform-cost
+// search over enabled links); each hop adds the link's queueing +
+// serialization + propagation delay. Per-host byte counters feed the paper's
+// traffic accounting (§4.2: 32 MB upload per ~7 min mirroring session). A
+// host may be forced to route via a gateway — that is how VPN tunnels are
+// modeled (§4.3).
+//
+// Routes are resolved once per topology change, not once per message: each
+// (from, to) route is kept as its resolved hops (link + direction) and
+// stays valid while the topology epoch it was resolved at is current.
+// add_link, set_gateway (set and clear) and every Link::set_enabled /
+// Link::set_spec on a link of this network bump the epoch, so a mutation
+// through any of them is seen by the next send. Routes touching a host the
+// network does not know are never kept, so add_host needs no bump.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +60,9 @@ struct HostStats {
 class Network {
  public:
   explicit Network(sim::Simulator& sim, std::uint64_t seed = 42);
+  // Links keep a pointer to topology_epoch_.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   sim::Simulator& simulator() { return sim_; }
 
@@ -77,7 +89,9 @@ class Network {
   util::Status set_gateway(const std::string& host, const std::string& gateway);
   std::string gateway_of(const std::string& host) const;
 
-  /// Shortest path (list of hosts, inclusive) or empty when unreachable.
+  /// Routed path (list of hosts, inclusive) or empty when unreachable.
+  /// path, path_delay, path_bandwidth_mbps and send all read the same
+  /// resolved route.
   std::vector<std::string> path(const std::string& from,
                                 const std::string& to) const;
   /// One-way propagation + serialization delay estimate for `bytes` along the
@@ -96,6 +110,22 @@ class Network {
   std::uint64_t dropped() const { return dropped_; }
 
  private:
+  /// One resolved hop: the link a message crosses, and which way.
+  struct Hop {
+    Link* link;
+    Direction dir;
+  };
+  /// A resolved route; current while `epoch` equals topology_epoch_.
+  struct Route {
+    std::uint64_t epoch = 0;
+    bool reachable = false;
+    std::vector<Hop> hops;  ///< empty for a host's route to itself
+  };
+  static const Route kNoRoute;
+
+  /// The current route from `from` to `to`, resolved on first use after a
+  /// topology change. A hit allocates nothing.
+  const Route& route(const std::string& from, const std::string& to) const;
   /// Lowest-hop-cost enabled link between adjacent hosts.
   Link* best_link(const std::string& from, const std::string& to) const;
   std::vector<std::string> bfs_path(const std::string& from,
@@ -109,6 +139,12 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<Address, MessageHandler> listeners_;
   std::unordered_map<std::string, std::string> gateways_;
+  /// Starts above Route::epoch's default, so a new entry resolves first.
+  std::uint64_t topology_epoch_ = 1;
+  /// Route cache, keyed from -> to.
+  mutable std::unordered_map<std::string,
+                             std::unordered_map<std::string, Route>>
+      routes_;
   mutable std::unordered_map<std::string, HostStats> stats_;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t delivered_ = 0;

@@ -86,9 +86,11 @@ char* encode_samples(const float* samples, std::size_t n, char* out);
 std::string encode_samples(const float* samples, std::size_t n);
 
 /// Decode exactly `n` samples appended to `out`; false on malformed input
-/// (truncated or trailing bytes, overlong varints, deltas leaving the
-/// 32-bit range, or a count larger than the payload could possibly hold —
-/// rejected before any allocation).
+/// (truncated or trailing bytes, non-canonical varints or ones longer than
+/// kMaxSampleBytes, deltas leaving the 32-bit range, or a count larger than
+/// the payload could possibly hold — rejected before any allocation), and
+/// then `out` is left as it was. It accepts exactly what encode_samples
+/// emits, so decode followed by re-encode is byte-identical.
 bool decode_samples(std::string_view bytes, std::size_t n,
                     std::vector<float>& out);
 

@@ -2,6 +2,11 @@
 // Bluetooth, VPN, speedtest, DNS, SSH.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/bluetooth.hpp"
 #include "net/dns.hpp"
 #include "net/flow.hpp"
@@ -22,6 +27,9 @@ using util::TimePoint;
 
 // ---------------------------------------------------------------- link ----
 
+constexpr Direction kAB = Direction::kAtoB;
+constexpr Direction kBA = Direction::kBtoA;
+
 TEST(LinkTest, SerializationTime) {
   // 1 MB at 8 Mbps = 1 second.
   EXPECT_NEAR(serialization_time(1'000'000, 8.0).to_seconds(), 1.0, 1e-9);
@@ -31,7 +39,7 @@ TEST(LinkTest, SerializationTime) {
 TEST(LinkTest, TransitIncludesLatencyAndSerialization) {
   util::Rng rng{1};
   Link link{"a", "b", LinkSpec::symmetric(Duration::millis(10), 8.0)};
-  const auto t = link.send("a", 1'000'000, TimePoint::epoch(), rng);
+  const auto t = link.send(kAB, 1'000'000, TimePoint::epoch(), rng);
   EXPECT_FALSE(t.dropped);
   EXPECT_NEAR(t.delay.to_seconds(), 1.010, 1e-3);
 }
@@ -39,16 +47,16 @@ TEST(LinkTest, TransitIncludesLatencyAndSerialization) {
 TEST(LinkTest, BackToBackSendsQueue) {
   util::Rng rng{1};
   Link link{"a", "b", LinkSpec::symmetric(Duration::millis(0), 8.0)};
-  const auto first = link.send("a", 1'000'000, TimePoint::epoch(), rng);
-  const auto second = link.send("a", 1'000'000, TimePoint::epoch(), rng);
+  const auto first = link.send(kAB, 1'000'000, TimePoint::epoch(), rng);
+  const auto second = link.send(kAB, 1'000'000, TimePoint::epoch(), rng);
   EXPECT_NEAR(second.delay.to_seconds(), first.delay.to_seconds() + 1.0, 1e-3);
 }
 
 TEST(LinkTest, DirectionsQueueIndependently) {
   util::Rng rng{1};
   Link link{"a", "b", LinkSpec::symmetric(Duration::millis(0), 8.0)};
-  (void)link.send("a", 1'000'000, TimePoint::epoch(), rng);
-  const auto reverse = link.send("b", 1'000'000, TimePoint::epoch(), rng);
+  (void)link.send(kAB, 1'000'000, TimePoint::epoch(), rng);
+  const auto reverse = link.send(kBA, 1'000'000, TimePoint::epoch(), rng);
   EXPECT_NEAR(reverse.delay.to_seconds(), 1.0, 1e-3);
 }
 
@@ -59,10 +67,10 @@ TEST(LinkTest, AsymmetricBandwidth) {
   spec.bandwidth_ab_mbps = 8.0;
   spec.bandwidth_ba_mbps = 80.0;
   Link link{"a", "b", spec};
-  EXPECT_NEAR(link.send("a", 1'000'000, TimePoint::epoch(), rng)
+  EXPECT_NEAR(link.send(kAB, 1'000'000, TimePoint::epoch(), rng)
                   .delay.to_seconds(),
               1.0, 1e-3);
-  EXPECT_NEAR(link.send("b", 1'000'000, TimePoint::epoch(), rng)
+  EXPECT_NEAR(link.send(kBA, 1'000'000, TimePoint::epoch(), rng)
                   .delay.to_seconds(),
               0.1, 1e-3);
 }
@@ -74,7 +82,7 @@ TEST(LinkTest, LossDropsPackets) {
   Link link{"a", "b", spec};
   int drops = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (link.send("a", 100, TimePoint::epoch(), rng).dropped) ++drops;
+    if (link.send(kAB, 100, TimePoint::epoch(), rng).dropped) ++drops;
   }
   EXPECT_NEAR(drops, 500, 60);
   EXPECT_EQ(link.drops(), static_cast<std::uint64_t>(drops));
@@ -83,8 +91,8 @@ TEST(LinkTest, LossDropsPackets) {
 TEST(LinkTest, ByteCountersPerDirection) {
   util::Rng rng{1};
   Link link{"a", "b", LinkSpec::symmetric(Duration::millis(1), 100.0)};
-  (void)link.send("a", 100, TimePoint::epoch(), rng);
-  (void)link.send("b", 50, TimePoint::epoch(), rng);
+  (void)link.send(kAB, 100, TimePoint::epoch(), rng);
+  (void)link.send(kBA, 50, TimePoint::epoch(), rng);
   EXPECT_EQ(link.bytes_ab(), 100u);
   EXPECT_EQ(link.bytes_ba(), 50u);
 }
@@ -408,6 +416,239 @@ TEST_F(NetworkTest, TwoTunneledHostsRouteThroughBothGateways) {
   ASSERT_GE(path.size(), 4u);
   EXPECT_EQ(path[1], "gw-a");
   EXPECT_NE(std::find(path.begin(), path.end(), "gw-b"), path.end());
+}
+
+// --------------------------------------------------------- route cache ----
+//
+// send() and path() read a route resolved once per topology epoch. Each
+// mutation kind below sends, mutates, then sends again: the second send must
+// take the new route, so dropping that mutation's epoch bump fails its test.
+// (set_enabled is covered by ParallelLinksSelectedByLabelAndCost.)
+
+/// Sends `bytes` from `from` to `to`, port 1, which must be listened on.
+void send_bytes(Network& net, const std::string& from, const std::string& to,
+                std::size_t bytes = 100) {
+  Message m;
+  m.src = {from, 2};
+  m.dst = {to, 1};
+  m.wire_bytes = bytes;
+  ASSERT_TRUE(net.send(std::move(m)).ok());
+}
+
+TEST_F(NetworkTest, RouteCacheSeesHopCostChange) {
+  auto& direct =
+      net.add_link("a", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  auto& am =
+      net.add_link("a", "m", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  auto& mb =
+      net.add_link("m", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.listen({"b", 1}, [](const Message&) {});
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(direct.bytes_ab(), 100u);
+
+  LinkSpec expensive = direct.spec();
+  expensive.hop_cost = 5;
+  direct.set_spec(expensive);
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(direct.bytes_ab(), 100u);
+  EXPECT_EQ(am.bytes_ab(), 100u);
+  EXPECT_EQ(mb.bytes_ab(), 100u);
+  EXPECT_EQ(net.path("a", "b"), (std::vector<std::string>{"a", "m", "b"}));
+}
+
+TEST_F(NetworkTest, RouteCacheSeesAddedLink) {
+  auto& am =
+      net.add_link("a", "m", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.add_link("m", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.listen({"b", 1}, [](const Message&) {});
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(am.bytes_ab(), 100u);
+
+  auto& direct =
+      net.add_link("a", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(am.bytes_ab(), 100u);
+  EXPECT_EQ(direct.bytes_ab(), 100u);
+  EXPECT_EQ(net.path("a", "b"), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST_F(NetworkTest, RouteCacheSeesGatewaySetAndClear) {
+  auto& direct =
+      net.add_link("a", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  auto& ag =
+      net.add_link("a", "g", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.add_link("g", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.listen({"b", 1}, [](const Message&) {});
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(direct.bytes_ab(), 100u);
+
+  ASSERT_TRUE(net.set_gateway("a", "g").ok());
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(direct.bytes_ab(), 100u);
+  EXPECT_EQ(ag.bytes_ab(), 100u);
+
+  ASSERT_TRUE(net.set_gateway("a", "").ok());
+  send_bytes(net, "a", "b");
+  EXPECT_EQ(direct.bytes_ab(), 200u);
+  EXPECT_EQ(ag.bytes_ab(), 100u);
+}
+
+TEST_F(NetworkTest, RouteQueriesReadTheCurrentRoute) {
+  auto& direct =
+      net.add_link("a", "b", LinkSpec::symmetric(Duration::millis(1), 10.0));
+  net.add_link("a", "m", LinkSpec::symmetric(Duration::millis(2), 100.0));
+  net.add_link("m", "b", LinkSpec::symmetric(Duration::millis(3), 50.0));
+  EXPECT_DOUBLE_EQ(net.path_bandwidth_mbps("a", "b").value(), 10.0);
+  direct.set_enabled(false);
+  EXPECT_DOUBLE_EQ(net.path_bandwidth_mbps("a", "b").value(), 50.0);
+  EXPECT_EQ(net.path_delay("a", "b", 0).value(), Duration::millis(5));
+  // Hosts the network has never seen have no route, and asking for one
+  // leaves nothing behind: a later add_host routes to itself.
+  EXPECT_TRUE(net.path("z", "z").empty());
+  EXPECT_FALSE(net.path_delay("a", "z", 0).ok());
+  net.add_host("z");
+  EXPECT_EQ(net.path("z", "z"), (std::vector<std::string>{"z"}));
+}
+
+/// A network's routing state, replayable into a fresh twin: links in
+/// creation order (routing breaks ties by that order) and gateways.
+struct TopologyState {
+  struct LinkState {
+    std::string a, b, label;
+    LinkSpec spec;
+    bool enabled = true;
+  };
+  std::vector<LinkState> links;
+  std::map<std::string, std::string> gateways;
+};
+
+/// Builds `state` into `net`, whose route cache is therefore cold. Gateways
+/// go in while every link is up: each was reachable when it was set, over
+/// a subset of these links.
+std::vector<Link*> build_twin(Network& net, const TopologyState& state) {
+  std::vector<Link*> links;
+  for (const auto& l : state.links) {
+    links.push_back(&net.add_link(l.a, l.b, l.spec, l.label));
+  }
+  for (const auto& [host, gateway] : state.gateways) {
+    EXPECT_TRUE(net.set_gateway(host, gateway).ok());
+  }
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i]->set_enabled(state.links[i].enabled);
+  }
+  return links;
+}
+
+/// Per-link (bytes_ab, bytes_ba), minus `since` when given.
+using LinkBytes = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+LinkBytes link_bytes(const std::vector<Link*>& links,
+                     const LinkBytes& since = {}) {
+  LinkBytes out;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    out.emplace_back(links[i]->bytes_ab(), links[i]->bytes_ba());
+    if (!since.empty()) {
+      out[i].first -= since[i].first;
+      out[i].second -= since[i].second;
+    }
+  }
+  return out;
+}
+
+TEST(RouteCacheProperty, NeverServesAStaleRoute) {
+  const std::vector<std::string> hosts{"h0", "h1", "h2", "h3", "h4", "h5"};
+  const std::vector<std::string> labels{"", "usb", "wifi"};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng{seed};
+    sim::Simulator sim;
+    Network net{sim, seed};
+    TopologyState state;
+    std::vector<Link*> links;
+    const auto random_host = [&] { return rng.pick(hosts); };
+    const auto random_spec = [&] {
+      LinkSpec spec = LinkSpec::symmetric(Duration::millis(1), 10.0);
+      spec.hop_cost = static_cast<int>(rng.uniform_int(1, 4));
+      return spec;
+    };
+    const auto add_link = [&] {
+      const std::string a = random_host();
+      std::string b = random_host();
+      while (b == a) b = random_host();
+      const TopologyState::LinkState l{a, b, rng.pick(labels), random_spec()};
+      links.push_back(&net.add_link(l.a, l.b, l.spec, l.label));
+      state.links.push_back(l);
+    };
+    for (int i = 0; i < 4; ++i) add_link();
+    for (const auto& h : hosts) net.listen({h, 1}, [](const Message&) {});
+
+    for (int step = 0; step < 40; ++step) {
+      switch (rng.uniform_int(0, 4)) {
+        case 0: {
+          const std::size_t i = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(links.size()) - 1));
+          state.links[i].enabled = rng.chance(0.5);
+          links[i]->set_enabled(state.links[i].enabled);
+          break;
+        }
+        case 1: {
+          const std::size_t i = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(links.size()) - 1));
+          state.links[i].spec = random_spec();
+          links[i]->set_spec(state.links[i].spec);
+          break;
+        }
+        case 2:
+          add_link();
+          break;
+        case 3: {
+          const std::string host = random_host();
+          const std::string gateway = random_host();
+          if (gateway != host && net.set_gateway(host, gateway).ok()) {
+            state.gateways[host] = gateway;
+          }
+          break;
+        }
+        case 4: {
+          const std::string host = random_host();
+          ASSERT_TRUE(net.set_gateway(host, "").ok());
+          state.gateways.erase(host);
+          break;
+        }
+      }
+      SCOPED_TRACE("step " + std::to_string(step));
+      sim::Simulator twin_sim;
+      Network twin{twin_sim, seed};
+      const std::vector<Link*> twin_links = build_twin(twin, state);
+      for (const auto& h : hosts) twin.listen({h, 1}, [](const Message&) {});
+      for (const auto& from : hosts) {
+        for (const auto& to : hosts) {
+          const std::vector<std::string> path = twin.path(from, to);
+          ASSERT_EQ(net.path(from, to), path) << from << " -> " << to;
+          if (path.empty()) continue;
+          // The send loads exactly the links the twin's send loads, each in
+          // its direction, and each of them joins two consecutive hosts of
+          // the path.
+          const auto net_before = link_bytes(links);
+          const auto twin_before = link_bytes(twin_links);
+          send_bytes(net, from, to);
+          send_bytes(twin, from, to);
+          const auto net_load = link_bytes(links, net_before);
+          ASSERT_EQ(net_load, link_bytes(twin_links, twin_before));
+          std::uint64_t loaded = 0;
+          for (std::size_t i = 0; i < links.size(); ++i) {
+            const auto [ab, ba] = net_load[i];
+            loaded += ab + ba;
+            bool on_path = ab + ba == 0;
+            for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+              on_path |= links[i]->connects(path[h], path[h + 1]);
+            }
+            EXPECT_TRUE(on_path) << "link " << i;
+          }
+          EXPECT_EQ(loaded, 100u * (path.size() - 1));
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- wifi ----

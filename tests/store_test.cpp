@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -558,6 +559,111 @@ TEST(Codec, DecodeSamplesRejectsHostileCounts) {
   ASSERT_TRUE(decode_samples(bytes, samples.size(), out));
   EXPECT_EQ(out, samples);
   EXPECT_EQ(encode_samples(out.data(), out.size()), bytes);
+}
+
+TEST(Codec, DecodeSamplesRejectsADeltaThatWouldOverflow) {
+  using blab::store::decode_samples;
+  using blab::store::put_varint;
+  // First sample 0x80000000, then the canonical 10-byte varint of
+  // 0xFFFFFFFFFFFFFFFE, whose zigzag delta is INT64_MAX: adding it to the
+  // first sample overflows int64 unless the varint's length is refused
+  // first. (tests/fuzz_corpus/store_codec_fuzz/delta_overflow is this input.)
+  std::string bytes;
+  put_varint(bytes, 0x80000000ULL);
+  put_varint(bytes, 0xFFFFFFFFFFFFFFFEULL);
+  std::vector<float> out{7.0f};
+  EXPECT_FALSE(decode_samples(bytes, 2, out));
+  EXPECT_EQ(out, std::vector<float>{7.0f}) << "out is left as it was";
+
+  // The same delta, and a canonical 6-byte one, deep in a stream where the
+  // bulk loop reads them.
+  const std::vector<float> samples = walk_samples(3, 200);
+  for (const std::uint64_t bad : {0xFFFFFFFFFFFFFFFEULL, 1ULL << 35}) {
+    std::string stream;
+    put_varint(stream, std::bit_cast<std::uint32_t>(samples[0]));
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      if (i == 50) put_varint(stream, bad);
+      const std::int64_t bits = std::bit_cast<std::uint32_t>(samples[i]);
+      const std::int64_t prev = std::bit_cast<std::uint32_t>(samples[i - 1]);
+      put_varint(stream, blab::store::zigzag_encode(bits - prev));
+    }
+    out.assign(3, 1.0f);
+    EXPECT_FALSE(decode_samples(stream, samples.size() + 1, out));
+    EXPECT_EQ(out, std::vector<float>(3, 1.0f));
+  }
+}
+
+/// decode_samples' accept set before its bulk loop: one get_varint at a
+/// time, any canonical length, every add range-checked so none overflows.
+bool reference_decode(std::string_view bytes, std::size_t n,
+                      std::vector<float>& out) {
+  const char* p = bytes.data();
+  const char* end = p + bytes.size();
+  if (n == 0) return p == end;
+  if (n > bytes.size()) return false;
+  std::int64_t prev = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = 0;
+    p = blab::store::get_varint(p, end, v);
+    if (p == nullptr) return false;
+    const std::int64_t delta = blab::store::zigzag_decode(v);
+    if (i == 0 ? v > 0xFFFFFFFFULL
+               : delta > 0xFFFFFFFFLL || delta < -0xFFFFFFFFLL) {
+      return false;
+    }
+    prev = i == 0 ? static_cast<std::int64_t>(v) : prev + delta;
+    if (prev < 0 || prev > 0xFFFFFFFFLL) return false;
+    out.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(prev)));
+  }
+  return p == end;
+}
+
+TEST(Codec, BulkDecodeAcceptsExactlyTheScalarSet) {
+  // Encoded streams long enough for the 64-byte windows, mixing close
+  // samples (1-3 byte deltas) with arbitrary bit patterns (up to 5), then
+  // corrupted: a byte flipped, zeroed, set to a continuation byte,
+  // inserted or deleted, or the count off by one.
+  blab::util::Rng rng{2026};
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<float> samples = walk_samples(trial, n);
+    for (float& f : samples) {
+      if (rng.chance(0.1)) {
+        f = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+      }
+    }
+    std::string bytes = blab::store::encode_samples(samples.data(), n);
+    std::size_t count = n;
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    const auto byte = [&](int lo, int hi) {
+      return static_cast<char>(rng.uniform_int(lo, hi));
+    };
+    switch (rng.uniform_int(0, 6)) {
+      case 0: break;
+      case 1: bytes[at] ^= byte(1, 255); break;
+      case 2: bytes[at] = '\x00'; break;
+      case 3: bytes[at] = byte(0x80, 0xFF); break;
+      case 4: bytes.insert(at, 1, byte(0, 255)); break;
+      case 5: bytes.erase(at, 1); break;
+      case 6: count += rng.chance(0.5) ? 1 : -1; break;
+    }
+    std::vector<float> got{-1.0f};
+    std::vector<float> want{-1.0f};
+    const bool ok = blab::store::decode_samples(bytes, count, got);
+    ASSERT_EQ(ok, reference_decode(bytes, count, want)) << "trial " << trial;
+    if (!ok) {
+      EXPECT_EQ(got, std::vector<float>{-1.0f}) << "trial " << trial;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 1000u);
 }
 
 TEST(ChunkedCapture, DeserializeRejectsNonCanonicalHeaderFields) {
